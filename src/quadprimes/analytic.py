@@ -15,7 +15,8 @@ from math import isqrt
 
 from .character import kronecker
 from .errors import BudgetExceeded, DegenerateMainTerm
-from .polynomial import AdmissiblePolynomial, roots_mod_prime
+from .polynomial import AdmissiblePolynomial, PrimeRootTable, prime_root_table
+from .polynomial import roots_mod_prime  # noqa: F401  (bench/tracer.py wraps this name)
 from .primes import primes_upto
 from .sieve import SieveBudget, SieveResult, s_count, sieve_pi
 
@@ -34,30 +35,33 @@ def _balanced_product(factors: list[int]) -> int:
     return factors[0]
 
 
-def _primes_below(z: float, prime_budget: int) -> list[int]:
+def _check_prime_range(z: float, prime_budget: int) -> None:
     if z < 2:
         raise ValueError("z must be >= 2")
     if z > prime_budget:
         raise BudgetExceeded(f"prime enumeration to {z} exceeds budget {prime_budget}")
-    limit = int(z)
-    return [p for p in primes_upto(limit) if p < z]
 
 
 def v_product(
-    f: AdmissiblePolynomial, z: float, *, prime_budget: int = DEFAULT_PRIME_BUDGET
+    f: AdmissiblePolynomial,
+    z: float,
+    *,
+    prime_budget: int = DEFAULT_PRIME_BUDGET,
+    table: PrimeRootTable | None = None,
 ) -> float:
     """V(z) = prod_{p < z} (1 - rho(p)/p), exact rational until the final
-    rounding. Equals 1 for z = 2 (empty product)."""
-    nums: list[int] = []
-    dens: list[int] = []
-    for p in _primes_below(z, prime_budget):
-        r = len(roots_mod_prime(f, p).roots)
-        if r:
-            if r == p:
-                return 0.0
-            nums.append(p - r)
-            dens.append(p)
-    return _balanced_product(nums) / _balanced_product(dens)
+    rounding. Equals 1 for z = 2 (empty product). Reads rho(p) from table
+    when it is f's and reaches z, and builds its own table otherwise."""
+    _check_prime_range(z, prime_budget)
+    limit = math.ceil(z) - 1  # the largest integer below z
+    if table is None or table.f != f or table.limit < limit:
+        table = prime_root_table(f, limit)
+    rho = (table.roots >= 0).sum(axis=1)
+    keep = (table.primes < z) & (rho > 0)
+    primes, rho = table.primes[keep], rho[keep]
+    if (rho == primes).any():
+        return 0.0
+    return _balanced_product((primes - rho).tolist()) / _balanced_product(primes.tolist())
 
 
 def w_product(
@@ -65,9 +69,10 @@ def w_product(
 ) -> float:
     """W(u) = prod_{p < u} (1 - 1/p)(1 - chi_Delta(p)/p), exact rational until
     the final rounding."""
+    _check_prime_range(u, prime_budget)
     nums: list[int] = []
     dens: list[int] = []
-    for p in _primes_below(u, prime_budget):
+    for p in primes_upto(math.ceil(u) - 1):
         chi_p = kronecker(delta, p)
         nums.append((p - 1) * (p - chi_p))
         dens.append(p * p)
@@ -223,7 +228,9 @@ def main_term_report(
     a_count = res.cardinality_a
     if a_count == 0:
         return MainTermReport(res.pi_f, 0, 1.0, 0.0, None, None, True)
-    v = v_product(f, a_count, prime_budget=prime_budget) if a_count >= 2 else 1.0
+    v = 1.0
+    if a_count >= 2:
+        v = v_product(f, a_count, prime_budget=prime_budget, table=res.root_table)
     main = a_count * v
     if main == 0.0:
         raise DegenerateMainTerm(

@@ -43,7 +43,7 @@ from .sieve import SieveBudget, a_d_count, sieve_pi
 DEFAULTS = {
     "max_n": 10**12,
     "max_sieve_prime": 2 * 10**6,
-    "segment_size": 1 << 16,
+    "segment_size": 1 << 20,
     "threads": 1,
     "l_cutoff": 10**9,
     "tol": 1e-4,
@@ -245,10 +245,13 @@ def _print_table(rows: list[tuple[str, object]]) -> None:
 
 
 def _analyze_one(
-    f, n_value: int, settings: Settings
+    f, n_value: int, settings: Settings, l_values: dict | None = None
 ) -> tuple[RunRecord, list[tuple[str, object]]]:
     result = sieve_pi(f, n_value, budget=settings.budget())
-    l_value, l_bound = l_one(f.delta, settings.tol, cutoff_cap=settings.l_cutoff)
+    l_values = {} if l_values is None else l_values  # by Delta; scan passes one per box
+    if f.delta not in l_values:
+        l_values[f.delta] = l_one(f.delta, settings.tol, cutoff_cap=settings.l_cutoff)
+    l_value, l_bound = l_values[f.delta]
     try:
         met = metrics(f, n_value, result.cardinality_a, l_value, l_bound)
     except DegenerateA:
@@ -348,6 +351,7 @@ def cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
     if settings.format == "table":
         print(header)
     exit_code = 0
+    l_values: dict[int, tuple[float, float]] = {}
     for a in a_vals:
         for b in b_vals:
             for c in c_vals:
@@ -362,7 +366,7 @@ def cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
                         print(f"skip a={a} b={b} c={c} {type(exc).__name__}", file=sys.stderr)
                     continue
                 try:
-                    record, _ = _analyze_one(f, n_value, settings)
+                    record, _ = _analyze_one(f, n_value, settings, l_values)
                 except QuadprimesError as exc:
                     exit_code = max(exit_code, exc.exit_code)
                     if settings.format == "table":
@@ -602,12 +606,12 @@ def _check_congruence_counts(rng: random.Random) -> str:
     return f"{trials} moduli"
 
 
-def _check_thread_determinism(settings: Settings) -> str:
+def _check_segment_determinism(settings: Settings) -> str:
     f = validate(1, 1, 41)
-    one = sieve_pi(f, 10**5, budget=SieveBudget(threads=1))
-    four = sieve_pi(f, 10**5, budget=SieveBudget(threads=4))
-    assert one == four
-    return "threads 1 == 4"
+    short = sieve_pi(f, 10**5, budget=SieveBudget(segment_size=64))
+    whole = sieve_pi(f, 10**5, budget=SieveBudget())
+    assert short == whole
+    return "segment_size 64 == default"
 
 
 def _check_wv_ratio(rng: random.Random) -> str:
@@ -641,7 +645,7 @@ def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
         ("lfun-class-number", lambda: _check_lfun_oracle(settings)),
         ("buchstab-residual", lambda: _check_buchstab(rng, settings)),
         ("congruence-counts", lambda: _check_congruence_counts(rng)),
-        ("thread-determinism", lambda: _check_thread_determinism(settings)),
+        ("segment-determinism", lambda: _check_segment_determinism(settings)),
         ("wv-ratio", lambda: _check_wv_ratio(rng)),
     ]
     failures = 0

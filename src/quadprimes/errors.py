@@ -93,11 +93,3 @@ class RangeExceeded(BudgetError):
 class ResolutionExceeded(BudgetError):
     pass
 
-
-class Overflow(BudgetError):
-    """Arithmetic wrapped past the integer range.
-
-    Unreachable in this implementation: all coefficient and value arithmetic
-    uses arbitrary precision integers. Kept so callers can handle the full
-    taxonomy uniformly.
-    """

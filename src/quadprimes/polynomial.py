@@ -11,17 +11,21 @@ general moduli.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+import numpy as np
+
 from .errors import (
     CommonFactor,
+    ConsistencyError,
     NotPrime,
     ParityObstruction,
     SquareDiscriminant,
     ZeroLeadingCoefficient,
 )
-from .primes import factorize, is_prime, sqrt_mod_prime
+from .primes import factorize, is_prime, primes_upto, sqrt_mod_prime
 
 
 @dataclass(frozen=True)
@@ -204,35 +208,60 @@ def enumeration_domain(f: AdmissiblePolynomial, n_value: int) -> EnumerationDoma
     return EnumerationDomain(tuple(intervals), x_length, cardinality)
 
 
-def roots_mod_prime(f: AdmissiblePolynomial, p: int) -> RootSet:
-    """Roots of f modulo a prime p; there are at most two.
+def _roots_mod_known_prime(f: AdmissiblePolynomial, p: int) -> tuple[int, ...]:
+    """Roots of f modulo p, increasing, for p already known to be prime.
 
     For p coprime to 2a the congruence completes to (2an+b)^2 = delta (mod p)
     and reduces to a modular square root; p = 2 and p | a fall back to
     enumeration or a linear solve.
     """
+    if p == 2:
+        return tuple(r for r in (0, 1) if f(r) % 2 == 0)
+    if f.a % p == 0:
+        if f.b % p != 0:
+            return ((-f.c * pow(f.b, -1, p)) % p,)
+        # p | a and p | b force p coprime to c, so no roots
+        return ()
+    d = f.delta % p
+    if d == 0:
+        return ((-f.b * pow(2 * f.a, -1, p)) % p,)
+    s = sqrt_mod_prime(d, p)
+    if s is None:
+        return ()
+    inv = pow(2 * f.a, -1, p)
+    return tuple(sorted({(-f.b + s) * inv % p, (-f.b - s) * inv % p}))
+
+
+def roots_mod_prime(f: AdmissiblePolynomial, p: int) -> RootSet:
+    """Roots of f modulo a prime p; there are at most two."""
     if p < 2 or not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if p == 2:
-        roots = tuple(r for r in (0, 1) if f(r) % 2 == 0)
-    elif f.a % p == 0:
-        if f.b % p != 0:
-            roots = ((-f.c * pow(f.b, -1, p)) % p,)
-        else:
-            # p | a and p | b force p coprime to c, so no roots
-            roots = ()
-    else:
-        d = f.delta % p
-        if d == 0:
-            roots = ((-f.b * pow(2 * f.a, -1, p)) % p,)
-        else:
-            s = sqrt_mod_prime(d, p)
-            if s is None:
-                roots = ()
-            else:
-                inv = pow(2 * f.a, -1, p)
-                roots = tuple(sorted({(-f.b + s) * inv % p, (-f.b - s) * inv % p}))
-    return RootSet(p, roots)
+    return RootSet(p, _roots_mod_known_prime(f, p))
+
+
+@dataclass(frozen=True, eq=False)
+class PrimeRootTable:
+    """Roots of f modulo every prime p <= limit. Row i of roots holds the
+    roots mod primes[i] in increasing order, padded with -1."""
+
+    f: AdmissiblePolynomial
+    limit: int
+    primes: np.ndarray
+    roots: np.ndarray
+
+
+def prime_root_table(f: AdmissiblePolynomial, limit: int) -> PrimeRootTable:
+    """Roots of f modulo each prime up to limit, solved once for both the
+    sieve and V. The primes come from a sieve, so none is tested again."""
+    primes = primes_upto(limit)
+    flat = array("q")  # 8 bytes a root, where a list of tuples costs ~15x that
+    for p in primes:
+        roots = _roots_mod_known_prime(f, p)
+        if len(roots) > 2:
+            raise ConsistencyError(f"{len(roots)} roots mod {p}: a quadratic has at most two")
+        flat.extend(roots + (-1,) * (2 - len(roots)))
+    roots = np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
+    return PrimeRootTable(f, limit, np.array(primes, dtype=np.int64), roots)
 
 
 def _roots_mod_prime_power(f: AdmissiblePolynomial, p: int, e: int) -> list[int]:

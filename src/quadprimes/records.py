@@ -69,6 +69,10 @@ _FIELD_NAMES = {f.name for f in fields(RunRecord)}
 
 
 def from_json_line(line: str) -> RunRecord:
+    return RunRecord(**_checked_fields(line))
+
+
+def _checked_fields(line: str) -> dict:
     try:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -84,7 +88,7 @@ def from_json_line(line: str) -> RunRecord:
     missing = _FIELD_NAMES - set(raw)
     if missing:
         raise SpecParseError(f"missing record fields {sorted(missing)}")
-    return RunRecord(**raw)
+    return raw
 
 
 def append_record(path: str, record: RunRecord) -> None:
@@ -95,14 +99,14 @@ def append_record(path: str, record: RunRecord) -> None:
         fh.write(to_json_line(record) + "\n")
 
 
+def _lines(path: str) -> Iterator[str]:
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            yield from filter(None, map(str.strip, fh))
+
+
 def iter_records(path: str) -> Iterator[RunRecord]:
-    if not os.path.exists(path):
-        return
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield from_json_line(line)
+    return map(from_json_line, _lines(path))
 
 
 def load_records(path: str) -> list[RunRecord]:
@@ -111,9 +115,9 @@ def load_records(path: str) -> list[RunRecord]:
 
 def find_latest(path: str, key: RunKey) -> RunRecord | None:
     """Most recent record for (a, b, c, N); the log is append-only so the
-    last match wins."""
+    last match wins. Every line is checked, but only the match is built."""
     found = None
-    for rec in iter_records(path):
-        if rec.key == key:
-            found = rec
-    return found
+    for raw in map(_checked_fields, _lines(path)):
+        if (raw["a"], raw["b"], raw["c"], raw["n_value"]) == key:
+            found = raw
+    return None if found is None else RunRecord(**found)

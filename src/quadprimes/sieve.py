@@ -1,10 +1,11 @@
-"""Segmented factoring sieve over the values f(n) on the enumeration domain.
+"""Least-prime-factor sieve over the values f(n) on the enumeration domain.
 
-Every n in the domain gets its value f(n) fully factored over the primes
-p <= sqrt(max f): each residue class n = r (mod p) with f(r) = 0 (mod p) is
-struck once, dividing out the full power of p. Whatever cofactor survives is
-either 1 or a single prime above the strike limit, so primality of f(n) and
-its least prime factor come out of the same pass.
+Each span of consecutive n is one int64 array of values f(n). For each root
+r of f modulo a prime p <= sqrt(max f), read off the polynomial's root table
+in descending order of p, every position n = r (mod p) gets lpf = p, so the
+smallest prime factor is written last. A value nothing struck is 1 or a
+prime above the strike limit, and is its own lpf; a value above 1 is prime
+exactly when it equals its lpf.
 
 The least-prime-factor histogram keys every lpf up to isqrt(N) exactly and
 pools anything larger into a single bucket, which is all the resolution the
@@ -14,29 +15,35 @@ sifting counts S(A, z) need for z <= isqrt(N) + 1.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isqrt
+
+import numpy as np
 
 from .errors import BudgetExceeded, ConsistencyError, NotPrime, ResolutionExceeded
 from .polynomial import (
     AdmissiblePolynomial,
     EnumerationDomain,
+    PrimeRootTable,
     enumeration_domain,
+    prime_root_table,
     roots_mod,
-    roots_mod_prime,
+    roots_mod_prime,  # noqa: F401  (unused here; bench/tracer.py wraps this name)
 )
-from .primes import is_prime, primes_upto
+from .primes import is_prime, primes_upto  # noqa: F401  (primes_upto: as above)
 
 DEFAULT_MAX_N = 10**12
 DEFAULT_MAX_SIEVE_PRIME = 2 * 10**6
-DEFAULT_SEGMENT_SIZE = 1 << 16
+DEFAULT_SEGMENT_SIZE = 1 << 20
+# values in [0, N] and the step 2a in [-2N, 2N] fit int64 up to this N
+MAX_SAFE_N = 10**18
 
 
 @dataclass(frozen=True)
 class SieveBudget:
     """Resource caps for a sieve run. Exceeding one raises BudgetExceeded
-    before any heavy allocation happens."""
+    before any heavy allocation happens. segment_size counts the values per
+    span, capping array memory; threads is accepted, and the sieve ignores it."""
 
     max_n: int = DEFAULT_MAX_N
     max_sieve_prime: int = DEFAULT_MAX_SIEVE_PRIME
@@ -66,28 +73,16 @@ class SieveResult:
     large_prime_count: int
     lpf_histogram: dict[int, int] = field(repr=False)
     domain: EnumerationDomain = field(repr=False)
-
-
-def _vertex_candidates(f: AdmissiblePolynomial, lo: int, hi: int) -> list[int]:
-    # f is convex or concave, so its max over [lo, hi] is at an endpoint or
-    # at one of the integers flanking the vertex -b/(2a)
-    cands = [lo, hi]
-    num, den = -f.b, 2 * f.a
-    floor_v = num // den
-    for n in (floor_v, floor_v + 1):
-        if lo <= n <= hi:
-            cands.append(n)
-    return cands
+    root_table: PrimeRootTable | None = field(default=None, compare=False, repr=False)
 
 
 def _max_value(f: AdmissiblePolynomial, domain: EnumerationDomain) -> int:
-    best = 0
-    for lo, hi in domain.intervals:
-        for n in _vertex_candidates(f, lo, hi):
-            v = f(n)
-            if v > best:
-                best = v
-    return best
+    # f is convex or concave, so its max over [lo, hi] is at an endpoint or
+    # at one of the integers flanking the vertex -b/(2a)
+    vertex = -f.b // (2 * f.a)
+    return max(
+        f(n) for lo, hi in domain.intervals for n in (lo, hi, vertex, vertex + 1) if lo <= n <= hi
+    )
 
 
 def _segment_counts(
@@ -96,61 +91,48 @@ def _segment_counts(
     hi: int,
     strikes: list[tuple[int, tuple[int, ...]]],
     key_cap: int,
-) -> tuple[int, int, int, int, Counter]:
+) -> tuple[int, int, int, int, dict[int, int]]:
+    """(pi, units, zeros, large, lpf histogram) over n in [lo, hi], whose
+    values must lie in [0, MAX_SAFE_N]. strikes lists (p, roots of f mod p)
+    for every prime p <= sqrt(max f) that has a root, p increasing."""
     length = hi - lo + 1
-    values = [f(n) for n in range(lo, hi + 1)]
-    nfac = [0] * length
-    lpf = [0] * length
-    for p, residues in strikes:
+    # f(lo), f(lo+1) - f(lo), then the second difference 2a (bounded by the
+    # values once there are three): every partial sum of the differences,
+    # then of the values, is some f(n+1) - f(n) or f(n), so none overflows
+    values = np.full(length, 2 * f.a if length > 2 else 0, dtype=np.int64)
+    values[0] = f(lo)
+    if length > 1:
+        values[1] = f(lo + 1) - f(lo)
+        np.cumsum(values[1:], out=values[1:])
+    np.cumsum(values, out=values)
+    lpf = np.zeros(length, dtype=np.int64)
+    for p, residues in reversed(strikes):
         for r in residues:
-            for i in range((r - lo) % p, length, p):
-                v = values[i]
-                if v == 0:
-                    continue
-                e = 0
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                values[i] = v
-                nfac[i] += e
-                if lpf[i] == 0:
-                    lpf[i] = p
-    pi_count = units = zeros = large = 0
-    hist: Counter = Counter()
-    for i in range(length):
-        v = values[i]
-        if v == 0:
-            zeros += 1
-            continue
-        total = nfac[i]
-        if v > 1:
-            # cofactor above the strike limit is a single prime
-            total += 1
-            if lpf[i] == 0:
-                lpf[i] = v
-        if total == 0:
-            units += 1
-            continue
-        if total == 1:
-            pi_count += 1
-        if lpf[i] <= key_cap:
-            hist[lpf[i]] += 1
-        else:
-            large += 1
-    return pi_count, units, zeros, large, hist
+            lpf[(r - lo) % p :: p] = p
+    np.copyto(lpf, values, where=lpf == 0)
+    zeros = int(np.count_nonzero(values == 0))
+    units = int(np.count_nonzero(values == 1))
+    above_one = values > 1
+    pi_count = int(np.count_nonzero(above_one & (lpf == values)))
+    small = above_one & (lpf <= key_cap)
+    keys, counts = np.unique(lpf[small], return_counts=True)
+    large = int(np.count_nonzero(above_one)) - int(np.count_nonzero(small))
+    return pi_count, units, zeros, large, dict(zip(keys.tolist(), counts.tolist()))
 
 
 def sieve_pi(
     f: AdmissiblePolynomial, n_value: int, budget: SieveBudget | None = None
 ) -> SieveResult:
     """Count primes among f(n) on the enumeration domain and classify every
-    value by least prime factor. Deterministic for any thread count: segments
-    are merged in submission order and all counts are integers."""
+    value by least prime factor. Every count is an exact integer, so the
+    result does not depend on the segment size."""
     budget = budget or SieveBudget()
     if n_value < 1:
         raise ValueError("n_value must be >= 1")
     if n_value > budget.max_n:
         raise BudgetExceeded(f"N = {n_value} exceeds budget max_n = {budget.max_n}")
+    if n_value > MAX_SAFE_N:
+        raise BudgetExceeded(f"N = {n_value} exceeds the int64-safe bound {MAX_SAFE_N}")
     domain = enumeration_domain(f, n_value)
     key_cap = isqrt(n_value)
     if not domain.intervals:
@@ -162,43 +144,28 @@ def sieve_pi(
             f"sieve needs primes to {strike_limit}, budget max_sieve_prime = "
             f"{budget.max_sieve_prime}"
         )
-    strikes = []
-    for p in primes_upto(strike_limit):
-        roots = roots_mod_prime(f, p).roots
-        assert len(roots) <= 2, "a quadratic has at most two roots mod p"
-        if roots:
-            strikes.append((p, roots))
+    # the main term reads V(|A|) off the same table
+    table = prime_root_table(f, max(strike_limit, domain.cardinality_a))
+    keep = (table.primes <= strike_limit) & (table.roots[:, 0] >= 0)
+    pairs = zip(table.primes[keep].tolist(), table.roots[keep].tolist())
+    strikes = [(p, (r, s) if s >= 0 else (r,)) for p, (r, s) in pairs]
 
-    tasks = []
     seg = max(budget.segment_size, 16)
-    for lo, hi in domain.intervals:
-        start = lo
-        while start <= hi:
-            stop = min(start + seg - 1, hi)
-            tasks.append((start, stop))
-            start = stop + 1
-
-    def worker(span: tuple[int, int]):
-        return _segment_counts(f, span[0], span[1], strikes, key_cap)
-
-    if budget.threads > 1:
-        with ThreadPoolExecutor(max_workers=budget.threads) as pool:
-            partials = list(pool.map(worker, tasks))
-    else:
-        partials = [worker(t) for t in tasks]
-
-    pi_f = units = zeros = large = 0
+    parts = [
+        _segment_counts(f, start, min(start + seg - 1, hi), strikes, key_cap)
+        for lo, hi in domain.intervals
+        for start in range(lo, hi + 1, seg)
+    ]
+    pi_f, units, zeros, large = (sum(part[i] for part in parts) for i in range(4))
     hist: Counter = Counter()
-    for d_pi, d_units, d_zeros, d_large, d_hist in partials:
-        pi_f += d_pi
-        units += d_units
-        zeros += d_zeros
-        large += d_large
-        hist.update(d_hist)
+    for part in parts:
+        hist.update(part[4])
 
     total = units + zeros + large + sum(hist.values())
-    assert total == domain.cardinality_a, "bucket totals must partition the domain"
-    assert zeros == 0, "admissible f has no integer roots"
+    if total != domain.cardinality_a:
+        raise ConsistencyError(f"buckets hold {total} values, the domain {domain.cardinality_a}")
+    if zeros:
+        raise ConsistencyError(f"{zeros} zero values: admissible f has no integer roots")
     return SieveResult(
         pi_f=pi_f,
         cardinality_a=domain.cardinality_a,
@@ -210,6 +177,7 @@ def sieve_pi(
         large_prime_count=large,
         lpf_histogram=dict(hist),
         domain=domain,
+        root_table=table,
     )
 
 

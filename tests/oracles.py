@@ -41,6 +41,18 @@ def trial_is_prime(v: int) -> bool:
     return True
 
 
+def trial_lpf(v: int) -> int:
+    """Least prime factor of v >= 2 by trial division; valid up to 1e8."""
+    if v > _SIEVE_LIMIT * _SIEVE_LIMIT:
+        raise ValueError(f"trial oracle only covers values up to {_SIEVE_LIMIT**2}")
+    for p in SMALL_PRIMES:
+        if p * p > v:
+            return v
+        if v % p == 0:
+            return p
+    return v
+
+
 def poly_value(a: int, b: int, c: int, n: int) -> int:
     return (a * n + b) * n + c
 
@@ -60,6 +72,26 @@ def brute_pi(a: int, b: int, c: int, n_value: int) -> int:
     return sum(
         1 for n in brute_domain(a, b, c, n_value) if trial_is_prime(poly_value(a, b, c, n))
     )
+
+
+def brute_lpf_counts(
+    a: int, b: int, c: int, n_value: int, key_cap: int
+) -> tuple[int, int, dict[int, int]]:
+    """(units, values with lpf > key_cap, histogram of lpf <= key_cap) over the
+    domain, each value's least prime factor found by trial division."""
+    units = large = 0
+    hist: dict[int, int] = {}
+    for n in brute_domain(a, b, c, n_value):
+        v = poly_value(a, b, c, n)
+        if v == 1:
+            units += 1
+            continue
+        q = trial_lpf(v)
+        if q > key_cap:
+            large += 1
+        else:
+            hist[q] = hist.get(q, 0) + 1
+    return units, large, hist
 
 
 def is_admissible(a: int, b: int, c: int) -> bool:

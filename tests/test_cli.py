@@ -108,6 +108,33 @@ def test_scan_records_stream(capsys, tmp_path):
     assert "skip" not in out
 
 
+def test_scan_solves_each_delta_once(capsys, tmp_path, monkeypatch):
+    import quadprimes.cli as cli
+
+    solved = []
+    l_one = cli.l_one
+
+    def counting(delta, *args, **kwargs):
+        solved.append(delta)
+        return l_one(delta, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "l_one", counting)
+    path = str(tmp_path / "r.jsonl")
+    # (1, 0, 2) and (2, 0, 1) share Delta = -8
+    code, _, _ = run(
+        capsys, "scan", "--a-range", "1:2", "--b-range", "0:0",
+        "--c-range", "1:2", "-N", "500", "--records", path,
+    )
+    assert code == 0
+    recs = load_records(path)
+    assert len(recs) == 3 and sorted(solved) == [-8, -4]
+    for rec in recs:
+        alone = str(tmp_path / f"{rec.a}{rec.c}.jsonl")
+        run(capsys, "analyze", "-a", str(rec.a), "-b", "0", "-c", str(rec.c),
+            "-N", "500", "--records", alone)
+        assert load_records(alone)[0].payload() == rec.payload()
+
+
 def test_scan_range_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "scan", "--a-range", "1--2", "-b", "0",
                        "-c", "1", "-N", "10")

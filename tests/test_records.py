@@ -89,6 +89,16 @@ def test_find_latest_respects_key_and_order(tmp_path):
     assert find_latest(str(tmp_path / "absent.jsonl"), (1, 1, 41, 1000)) is None
 
 
+def test_find_latest_checks_lines_it_does_not_return(tmp_path):
+    path = str(tmp_path / "runs.jsonl")
+    append_record(path, _record())
+    bad = dict(json.loads(to_json_line(_record(n_value=5))), surprise=1)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(bad) + "\n")
+    with pytest.raises(SpecParseError):
+        find_latest(path, (1, 1, 41, 1000))
+
+
 def test_payload_excludes_timestamp_only():
     rec = _record()
     pay = rec.payload()

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import quadprimes
+from quadprimes.analytic import main_term_report
 from quadprimes.errors import BudgetExceeded, NotPrime, ResolutionExceeded
 from quadprimes.polynomial import enumeration_domain, validate
 from quadprimes.sieve import (
@@ -12,7 +18,13 @@ from quadprimes.sieve import (
     sieve_pi,
 )
 
-from oracles import brute_pi, poly_value, rand_admissible, trial_is_prime
+from oracles import (
+    brute_lpf_counts,
+    brute_pi,
+    poly_value,
+    rand_admissible,
+    trial_is_prime,
+)
 
 
 def test_sieve_golden_x_squared_plus_one():
@@ -78,6 +90,73 @@ def test_sieve_invariant_under_segmentation_and_threads():
         for threads in (1, 3):
             alt = sieve_pi(f, 10**6, SieveBudget(segment_size=seg, threads=threads))
             assert alt == base
+
+
+def test_lpf_histogram_matches_bruteforce_on_both_domain_shapes():
+    # 30 one-interval and 30 split domains; segment_size 16 cuts intervals
+    # into many spans, 1 << 20 keeps each interval whole
+    rng = random.Random(17)
+    wanted = {1: 30, 2: 30}
+    while any(wanted.values()):
+        a, b, c = rand_admissible(rng, 12)
+        n_value = rng.randint(100, 10**5)
+        f = validate(a, b, c)
+        shape = len(enumeration_domain(f, n_value).intervals)
+        if not wanted.get(shape):
+            continue
+        wanted[shape] -= 1
+        for seg in (16, 1 << 20):
+            res = sieve_pi(f, n_value, SieveBudget(segment_size=seg))
+            got = (res.unit_count, res.large_prime_count, res.lpf_histogram)
+            assert got == brute_lpf_counts(a, b, c, n_value, res.key_cap), (a, b, c, n_value, seg)
+
+
+def test_sieve_exact_when_coefficients_exceed_int64():
+    # x^2 + x + 41 shifted by k: c = k^2 + k + 41 > 2^63, the values are not
+    k = 10**10
+    base_f, shifted_f = validate(1, 1, 41), validate(1, 2 * k + 1, k * k + k + 41)
+    base, shifted = sieve_pi(base_f, 10**8), sieve_pi(shifted_f, 10**8)
+    assert shifted.pi_f == base.pi_f == 8298
+    assert shifted.lpf_histogram == base.lpf_histogram
+    assert (shifted.unit_count, shifted.large_prime_count) == (
+        base.unit_count, base.large_prime_count)
+    assert (main_term_report(shifted_f, 10**8, shifted).v_of_a
+            == main_term_report(base_f, 10**8, base).v_of_a)
+
+
+def test_sieve_refuses_n_beyond_int64_safe_bound():
+    f = validate(1, 1, 41)
+    with pytest.raises(BudgetExceeded):
+        sieve_pi(f, 2**63, SieveBudget(max_n=2**64, max_sieve_prime=2**40))
+
+
+def test_bucket_partition_checked_under_python_O():
+    # a span that loses one value must raise ConsistencyError even with
+    # assert statements compiled out
+    script = textwrap.dedent("""
+        import quadprimes.sieve as sieve
+        from quadprimes.errors import ConsistencyError
+        from quadprimes.polynomial import validate
+
+        real = sieve._segment_counts
+
+        def drop_one_value(*args):
+            pi, units, zeros, large, hist = real(*args)
+            return pi, units, zeros, large - 1, hist
+
+        sieve._segment_counts = drop_one_value
+        try:
+            sieve.sieve_pi(validate(1, 1, 41), 10**4)
+        except ConsistencyError:
+            raise SystemExit(0)
+        raise SystemExit(1)
+    """)
+    src = os.path.dirname(os.path.dirname(quadprimes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sieve_budget_checks():
