@@ -198,25 +198,6 @@ def l_one(
     return value, 2.0 * k_bound / (m_cut + 1)
 
 
-@dataclass(frozen=True)
-class CharacterContext:
-    """chi_Delta with its cached L(1, chi) evaluation."""
-
-    delta: int
-    l_one_value: float
-    l_one_error_bound: float
-
-    def chi(self, n: int) -> int:
-        return kronecker(self.delta, n)
-
-
-def character_context(
-    delta: int, tolerance: float = 1e-6, *, cutoff_cap: int = DEFAULT_CUTOFF_CAP
-) -> CharacterContext:
-    value, bound = l_one(delta, tolerance, cutoff_cap=cutoff_cap)
-    return CharacterContext(delta, value, bound)
-
-
 def _squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n))
 

@@ -12,15 +12,14 @@ file (key=value lines) > built-in defaults. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import random
 import sys
-from dataclasses import dataclass
-from math import isqrt
+from dataclasses import asdict, dataclass, fields
+from math import gcd, isqrt
 
-from . import __version__
+from . import __version__, character, sieve
 from .analytic import buchstab, main_term_report, v_product, w_product
 from .character import (
     is_fundamental_discriminant,
@@ -30,51 +29,46 @@ from .character import (
     metrics,
 )
 from .errors import (
+    ConsistencyError,
     DegenerateA,
     QuadprimesError,
     SpecParseError,
     ValidationError,
 )
-from .polynomial import enumeration_domain, roots_mod_prime, validate
+from .polynomial import enumeration_domain, rho, roots_mod_prime, validate
 from .primes import is_prime, primes_upto
-from .records import RunRecord, append_record, to_json_line, utc_timestamp
+from .records import RunRecord, append_record, json_line, to_json_line, utc_timestamp
 from .sieve import SieveBudget, a_d_count, sieve_pi
 
-DEFAULTS = {
-    "max_n": 10**12,
-    "max_sieve_prime": 2 * 10**6,
-    "segment_size": 1 << 20,
-    "threads": 1,
-    "l_cutoff": 10**9,
-    "tol": 1e-4,
-    "records": "quadprimes-runs.jsonl",
-    "format": "table",
-}
-
-_INT_KEYS = {"max_n", "max_sieve_prime", "segment_size", "threads", "l_cutoff"}
-_FLOAT_KEYS = {"tol"}
-
 ENV_PREFIX = "QUADPRIMES_"
+FORMATS = ("table", "records")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Settings:
-    max_n: int
-    max_sieve_prime: int
-    segment_size: int
-    threads: int
-    l_cutoff: int
-    tol: float
-    records: str
-    format: str
+    """The CLI settings, declared only here. A field's name is its config key,
+    its QUADPRIMES_<NAME> suffix and its argparse dest; its type picks how
+    config and environment text is parsed. The int settings are the budget
+    caps, each with a --budget-<name> flag on every command."""
+
+    max_n: int = sieve.DEFAULT_MAX_N
+    max_sieve_prime: int = sieve.DEFAULT_MAX_SIEVE_PRIME
+    segment_size: int = sieve.DEFAULT_SEGMENT_SIZE
+    l_cutoff: int = character.DEFAULT_CUTOFF_CAP
+    tol: float = 1e-4
+    records: str = "quadprimes-runs.jsonl"
+    format: str = "table"
 
     def budget(self) -> SieveBudget:
         return SieveBudget(
             max_n=self.max_n,
             max_sieve_prime=self.max_sieve_prime,
             segment_size=self.segment_size,
-            threads=self.threads,
         )
+
+
+# "int", "float" or "str": annotations stay strings under the __future__ import
+_TYPES = {f.name: f.type for f in fields(Settings)}
 
 
 def _parse_int(text: str) -> int:
@@ -93,14 +87,14 @@ def _parse_int(text: str) -> int:
 
 
 def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
+    if _TYPES[key] == "int":
         return _parse_int(raw)
-    if key in _FLOAT_KEYS:
+    if _TYPES[key] == "float":
         try:
             return float(raw)
         except ValueError:
             raise SpecParseError(f"not a number: {raw!r}") from None
-    if key == "format" and raw not in ("table", "records"):
+    if key == "format" and raw not in FORMATS:
         raise SpecParseError(f"format must be 'table' or 'records', got {raw!r}")
     return raw
 
@@ -120,33 +114,22 @@ def load_config_file(path: str) -> dict:
             raise SpecParseError(f"{path}:{lineno}: expected key=value")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in DEFAULTS:
+        if key not in _TYPES:
             raise SpecParseError(f"{path}:{lineno}: unknown setting {key!r}")
         out[key] = _coerce(key, raw.strip())
     return out
 
 
 def resolve_settings(args: argparse.Namespace) -> Settings:
-    values = dict(DEFAULTS)
+    values = {}
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         values.update(load_config_file(config_path))
-    for key in DEFAULTS:
+    for key in _TYPES:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             values[key] = _coerce(key, env)
-    flag_map = {
-        "max_n": "budget_max_n",
-        "max_sieve_prime": "budget_max_sieve_prime",
-        "segment_size": "budget_segment_size",
-        "l_cutoff": "budget_l_cutoff",
-        "threads": "threads",
-        "tol": "tol",
-        "records": "records",
-        "format": "format",
-    }
-    for key, attr in flag_map.items():
-        flag = getattr(args, attr, None)
+        flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     return Settings(**values)
@@ -154,16 +137,11 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="settings file with key=value lines")
-    sub.add_argument("--budget-max-n", type=_parse_int, default=None, metavar="INT")
-    sub.add_argument(
-        "--budget-max-sieve-prime", type=_parse_int, default=None, metavar="INT"
-    )
-    sub.add_argument(
-        "--budget-segment-size", type=_parse_int, default=None, metavar="INT"
-    )
-    sub.add_argument("--budget-l-cutoff", type=_parse_int, default=None, metavar="INT")
-    sub.add_argument("--threads", type=int, default=None)
-    sub.add_argument("--format", choices=("table", "records"), default=None)
+    for key, kind in _TYPES.items():
+        if kind == "int":
+            flag = "--budget-" + key.replace("_", "-")
+            sub.add_argument(flag, dest=key, type=_parse_int, default=None, metavar="INT")
+    sub.add_argument("--format", choices=FORMATS, default=None)
 
 
 def _add_poly_flags(sub: argparse.ArgumentParser) -> None:
@@ -238,7 +216,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _print_table(rows: list[tuple[str, object]]) -> None:
+def _emit(settings: Settings, rows: list[tuple[str, object]], payload: dict) -> None:
+    """Print one result as a records line or as a table of rows."""
+    if settings.format == "records":
+        print(json_line(payload))
+        return
     width = max(len(label) for label, _ in rows) + 2
     for label, value in rows:
         print(f"{label:<{width}}{_fmt(value)}")
@@ -311,10 +293,7 @@ def cmd_analyze(args: argparse.Namespace, settings: Settings) -> int:
     record, rows = _analyze_one(f, args.N, settings)
     if not args.no_record:
         append_record(settings.records, record)
-    if settings.format == "records":
-        print(to_json_line(record))
-    else:
-        _print_table(rows)
+    _emit(settings, rows, asdict(record))
     return 0
 
 
@@ -399,35 +378,31 @@ def cmd_buchstab(args: argparse.Namespace, settings: Settings) -> int:
         include_sqrt_n=args.include_sqrt_n,
         budget=settings.budget(),
     )
-    if settings.format == "records":
-        payload = {
-            "schema": 1,
-            "a": f.a, "b": f.b, "c": f.c, "n_value": args.N,
-            "z": report.z,
-            "s_a_z": report.s_a_z,
-            "s_a_sqrt_n": report.s_a_sqrt_n,
-            "s1": report.s1, "s2": report.s2, "s3": report.s3,
-            "identity_residual": report.identity_residual,
-            "include_sqrt_n": report.include_sqrt_n,
-        }
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        rows = [
-            ("polynomial", str(f)),
-            ("N", args.N),
-            ("z", report.z),
-            ("|A|", report.a_count),
-            ("S(A, z)", report.s_a_z),
-            ("S(A, sqrt N)", report.s_a_sqrt_n),
-            ("s1 (p <= A/z^2)", report.s1),
-            ("s2 (A/z^2 < p <= A)", report.s2),
-            ("s3 (p > A)", report.s3),
-            ("residual", report.identity_residual),
-        ]
-        _print_table(rows)
-        if args.per_prime:
-            for p, count in report.per_prime:
-                print(f"  S(A_{p}, {p}) = {count}")
+    rows = [
+        ("polynomial", str(f)),
+        ("N", args.N),
+        ("z", report.z),
+        ("|A|", report.a_count),
+        ("S(A, z)", report.s_a_z),
+        ("S(A, sqrt N)", report.s_a_sqrt_n),
+        ("s1 (p <= A/z^2)", report.s1),
+        ("s2 (A/z^2 < p <= A)", report.s2),
+        ("s3 (p > A)", report.s3),
+        ("residual", report.identity_residual),
+    ]
+    payload = {
+        "a": f.a, "b": f.b, "c": f.c, "n_value": args.N,
+        "z": report.z,
+        "s_a_z": report.s_a_z,
+        "s_a_sqrt_n": report.s_a_sqrt_n,
+        "s1": report.s1, "s2": report.s2, "s3": report.s3,
+        "identity_residual": report.identity_residual,
+        "include_sqrt_n": report.include_sqrt_n,
+    }
+    _emit(settings, rows, payload)
+    if args.per_prime and settings.format == "table":
+        for p, count in report.per_prime:
+            print(f"  S(A_{p}, {p}) = {count}")
     if report.identity_residual != 0:
         print("consistency failure: nonzero Buchstab residual", file=sys.stderr)
         return 4
@@ -439,21 +414,17 @@ def cmd_lfun(args: argparse.Namespace, settings: Settings) -> int:
     oracle = None
     if -(10**6) < args.delta < 0 and is_fundamental_discriminant(args.delta):
         oracle = l_one_class_number_oracle(args.delta)
-    if settings.format == "records":
-        payload = {
-            "schema": 1,
-            "delta": args.delta,
-            "l_one": value,
-            "error_bound": bound,
-            "class_number_oracle": oracle,
-        }
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        rows = [("delta", args.delta), ("L(1,chi)", value), ("error bound", bound)]
-        if oracle is not None:
-            rows.append(("class-number oracle", oracle))
-            rows.append(("|difference|", abs(value - oracle)))
-        _print_table(rows)
+    rows = [("delta", args.delta), ("L(1,chi)", value), ("error bound", bound)]
+    if oracle is not None:
+        rows.append(("class-number oracle", oracle))
+        rows.append(("|difference|", abs(value - oracle)))
+    payload = {
+        "delta": args.delta,
+        "l_one": value,
+        "error_bound": bound,
+        "class_number_oracle": oracle,
+    }
+    _emit(settings, rows, payload)
     if oracle is not None and abs(value - oracle) > bound + 1e-12:
         print("consistency failure: partial sum disagrees with oracle", file=sys.stderr)
         return 4
@@ -462,6 +433,12 @@ def cmd_lfun(args: argparse.Namespace, settings: Settings) -> int:
 
 # ---------------------------------------------------------------------------
 # verify: randomized cross-checks of independent code paths
+
+
+def _expect(cond: bool, detail: object = "") -> None:
+    """A verify check that also runs under python -O, unlike assert."""
+    if not cond:
+        raise ConsistencyError(detail)
 
 
 def _random_poly(rng: random.Random):
@@ -484,14 +461,14 @@ def _check_kronecker_euler(rng: random.Random) -> str:
         euler = pow(delta % p, (p - 1) // 2, p)
         expect = 0 if euler == 0 else 1 if euler == 1 else -1
         got = kronecker(delta, p)
-        assert got == expect, (delta, p, got, expect)
+        _expect(got == expect, (delta, p, got, expect))
         trials += 1
     # complete multiplicativity on random pairs
     for _ in range(400):
         delta = rng.choice((-163, -20, 5, 13, 21, -4, 8, -7))
         m, n = rng.randint(1, 4000), rng.randint(1, 4000)
-        assert kronecker(delta, m * n) == kronecker(delta, m) * kronecker(delta, n)
-        assert kronecker(delta, m + abs(delta)) == kronecker(delta, m)
+        _expect(kronecker(delta, m * n) == kronecker(delta, m) * kronecker(delta, n))
+        _expect(kronecker(delta, m + abs(delta)) == kronecker(delta, m))
         trials += 1
     return f"{trials} trials"
 
@@ -504,17 +481,13 @@ def _check_roots_vs_enumeration(rng: random.Random) -> str:
         for p in plist:
             brute = tuple(n for n in range(p) if f(n) % p == 0)
             got = roots_mod_prime(f, p).roots
-            assert got == brute, (f, p, got, brute)
-            assert len(got) <= 2
+            _expect(got == brute, (f, p, got, brute))
+            _expect(len(got) <= 2)
             trials += 1
     return f"{trials} prime/poly pairs"
 
 
 def _check_rho_multiplicative(rng: random.Random) -> str:
-    from math import gcd
-
-    from .polynomial import rho
-
     trials = 0
     for _ in range(60):
         f = _random_poly(rng)
@@ -523,7 +496,7 @@ def _check_rho_multiplicative(rng: random.Random) -> str:
             continue
         d = d1 * d2
         brute = sum(1 for n in range(d) if f(n) % d == 0)
-        assert rho(f, d) == brute == rho(f, d1) * rho(f, d2), (f, d1, d2)
+        _expect(rho(f, d) == brute == rho(f, d1) * rho(f, d2), (f, d1, d2))
         trials += 1
     return f"{trials} coprime pairs"
 
@@ -543,10 +516,10 @@ def _check_domain_brute(rng: random.Random) -> str:
         for lo, hi in dom.intervals:
             member.update(range(lo, hi + 1))
         brute = {n for n in range(span_lo, span_hi + 1) if 0 <= f(n) <= n_value}
-        assert member == brute, (f, n_value)
-        assert dom.cardinality_a == len(brute)
+        _expect(member == brute, (f, n_value))
+        _expect(dom.cardinality_a == len(brute))
         if dom.x_length >= 2:
-            assert dom.x_length - 2 < dom.cardinality_a < dom.x_length + 2
+            _expect(dom.x_length - 2 < dom.cardinality_a < dom.x_length + 2)
         trials += 1
     return f"{trials} domains"
 
@@ -560,7 +533,7 @@ def _check_sieve_direct(rng: random.Random, settings: Settings) -> str:
         direct = 0
         for lo, hi in res.domain.intervals:
             direct += sum(1 for n in range(lo, hi + 1) if is_prime(f(n)))
-        assert res.pi_f == direct, (f, n_value, res.pi_f, direct)
+        _expect(res.pi_f == direct, (f, n_value, res.pi_f, direct))
         trials += 1
     return f"{trials} sieve runs"
 
@@ -570,7 +543,7 @@ def _check_lfun_oracle(settings: Settings) -> str:
     for delta in cases:
         value, bound = l_one(delta, 1e-6, cutoff_cap=settings.l_cutoff)
         oracle = l_one_class_number_oracle(delta)
-        assert abs(value - oracle) <= bound + 1e-12, (delta, value, oracle, bound)
+        _expect(abs(value - oracle) <= bound + 1e-12, (delta, value, oracle, bound))
     return f"{len(cases)} discriminants"
 
 
@@ -582,7 +555,7 @@ def _check_buchstab(rng: random.Random, settings: Settings) -> str:
         z = rng.uniform(2, isqrt(n_value))
         flag = rng.random() < 0.5
         rep = buchstab(f, n_value, z, include_sqrt_n=flag, budget=settings.budget())
-        assert rep.identity_residual == 0, (f, n_value, z, flag)
+        _expect(rep.identity_residual == 0, (f, n_value, z, flag))
         trials += 1
     return f"{trials} identities"
 
@@ -598,10 +571,10 @@ def _check_congruence_counts(rng: random.Random) -> str:
         brute = 0
         for lo, hi in dom.intervals:
             brute += sum(1 for n in range(lo, hi + 1) if f(n) % d == 0)
-        assert cc.a_d == brute, (f, n_value, d)
-        assert abs(cc.r_d) < 2 * cc.rho_d or cc.r_d == 0
+        _expect(cc.a_d == brute, (f, n_value, d))
+        _expect(abs(cc.r_d) < 2 * cc.rho_d or cc.r_d == 0)
         if len(dom.intervals) == 1:
-            assert cc.within_rho, (f, n_value, d)
+            _expect(cc.within_rho, (f, n_value, d))
         trials += 1
     return f"{trials} moduli"
 
@@ -610,7 +583,7 @@ def _check_segment_determinism(settings: Settings) -> str:
     f = validate(1, 1, 41)
     short = sieve_pi(f, 10**5, budget=SieveBudget(segment_size=64))
     whole = sieve_pi(f, 10**5, budget=SieveBudget())
-    assert short == whole
+    _expect(short == whole)
     return "segment_size 64 == default"
 
 
@@ -626,10 +599,10 @@ def _check_wv_ratio(rng: random.Random) -> str:
         if v == 0.0:
             continue
         ratio = w_product(f.delta, u) / v
-        assert math.isfinite(ratio) and ratio > 0.0, (f, u, ratio)
+        _expect(math.isfinite(ratio) and ratio > 0.0, (f, u, ratio))
         lo, hi = min(lo, ratio), max(hi, ratio)
         samples += 1
-    assert samples > 0
+    _expect(samples > 0)
     bracket = max(hi, 1.0 / lo)
     return f"{samples} samples, W/V in [{lo:.4g}, {hi:.4g}], C={bracket:.4g}"
 
@@ -652,7 +625,7 @@ def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
     for name, run in checks:
         try:
             detail = run()
-        except AssertionError as exc:
+        except ConsistencyError as exc:
             failures += 1
             print(f"FAIL {name}: {exc}")
         else:

@@ -75,13 +75,6 @@ class EnumerationDomain:
     x_length: float
     cardinality_a: int
 
-    def __iter__(self):
-        for lo, hi in self.intervals:
-            yield from range(lo, hi + 1)
-
-    def __contains__(self, n: int) -> bool:
-        return any(lo <= n <= hi for lo, hi in self.intervals)
-
 
 @dataclass(frozen=True)
 class RootSet:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+import numpy as np
+
 from .errors import FactorizationOverflow
 
 # Deterministic witness set for n < 3.3e24 (Sorenson-Webster).
@@ -27,7 +29,7 @@ def primes_upto(n: int) -> list[int]:
         for p in range(2, isqrt(limit) + 1):
             if flags[p]:
                 flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-        _sieve_primes = [i for i, f in enumerate(flags) if f]
+        _sieve_primes = np.flatnonzero(np.frombuffer(flags, np.uint8)).tolist()
         _sieve_limit = limit
     if n == _sieve_limit:
         return _sieve_primes

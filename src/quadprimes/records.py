@@ -58,11 +58,14 @@ def utc_timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def json_line(payload: dict) -> str:
+    """One compact JSON line with the schema first, so a reader can dispatch
+    before parsing the rest; a schema the payload carries keeps its value."""
+    return json.dumps({"schema": SCHEMA_VERSION, **payload}, separators=(",", ":"))
+
+
 def to_json_line(record: RunRecord) -> str:
-    d = asdict(record)
-    # schema first so a reader can dispatch before parsing the rest
-    ordered = {"schema": d.pop("schema"), **d}
-    return json.dumps(ordered, separators=(",", ":"), sort_keys=False)
+    return json_line(asdict(record))
 
 
 _FIELD_NAMES = {f.name for f in fields(RunRecord)}

@@ -43,12 +43,11 @@ MAX_SAFE_N = 10**18
 class SieveBudget:
     """Resource caps for a sieve run. Exceeding one raises BudgetExceeded
     before any heavy allocation happens. segment_size counts the values per
-    span, capping array memory; threads is accepted, and the sieve ignores it."""
+    span, capping array memory."""
 
     max_n: int = DEFAULT_MAX_N
     max_sieve_prime: int = DEFAULT_MAX_SIEVE_PRIME
     segment_size: int = DEFAULT_SEGMENT_SIZE
-    threads: int = 1
 
 
 @dataclass(frozen=True)

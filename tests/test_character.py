@@ -5,7 +5,6 @@ import pytest
 
 from quadprimes.character import (
     _chi_period,
-    character_context,
     class_number,
     is_discriminant,
     is_fundamental_discriminant,
@@ -149,13 +148,6 @@ def test_l_one_input_validation():
         l_one(-163, 1e-8)  # needs ~1.3e10 terms against the 1e9 cap
     value, bound = l_one(-163, 1e-7, cutoff_cap=2 * 10**9)  # raised cap works
     assert bound <= 1e-7
-
-
-def test_character_context_carries_l_value():
-    ctx = character_context(-4, 1e-5)
-    assert ctx.delta == -4
-    assert abs(ctx.l_one_value - math.pi / 4) <= ctx.l_one_error_bound
-    assert ctx.chi(5) == 1 and ctx.chi(3) == -1 and ctx.chi(2) == 0
 
 
 def test_class_number_goldens():

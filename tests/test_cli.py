@@ -1,7 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
-from quadprimes.cli import main
+import pytest
+
+import quadprimes
+from quadprimes.character import DEFAULT_CUTOFF_CAP
+from quadprimes.cli import Settings, build_parser, main, resolve_settings
 from quadprimes.records import from_json_line, load_records
+from quadprimes.sieve import SieveBudget
 
 
 def run(capsys, *argv):
@@ -273,3 +283,78 @@ def test_scientific_notation_accepted_for_n(capsys, tmp_path):
     )
     assert code == 0
     assert from_json_line(out.strip()).n_value == 10000
+
+
+# flag spelling, then the config, environment and flag values: each value
+# differs from the source below it, and the config value from the default
+_SOURCES = {
+    "max_n": ("--budget-max-n", 11, 12, 13),
+    "max_sieve_prime": ("--budget-max-sieve-prime", 11, 12, 13),
+    "segment_size": ("--budget-segment-size", 11, 12, 13),
+    "l_cutoff": ("--budget-l-cutoff", 11, 12, 13),
+    "tol": ("--tol", 0.25, 0.5, 0.125),
+    "records": ("--records", "c.jsonl", "e.jsonl", "f.jsonl"),
+    "format": ("--format", "records", "table", "records"),
+}
+
+
+@pytest.mark.parametrize("setting", fields(Settings), ids=lambda f: f.name)
+def test_each_setting_resolves_flag_over_env_over_config(setting, tmp_path, monkeypatch):
+    for other in fields(Settings):
+        monkeypatch.delenv("QUADPRIMES_" + other.name.upper(), raising=False)
+    monkeypatch.delenv("QUADPRIMES_CONFIG", raising=False)
+    spelling, config, env, flag = _SOURCES[setting.name]
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text(f"{setting.name} = {config}\n")
+    parser = build_parser()
+
+    def resolved(*extra):
+        args = parser.parse_args(["analyze", "-a", "1", "-b", "0", "-c", "1", "-N", "100",
+                                  *extra])
+        return getattr(resolve_settings(args), setting.name)
+
+    assert resolved() == setting.default
+    assert resolved("--config", str(cfg)) == config
+    monkeypatch.setenv("QUADPRIMES_" + setting.name.upper(), str(env))
+    assert resolved("--config", str(cfg)) == env
+    assert resolved("--config", str(cfg), spelling, str(flag)) == flag
+
+
+def test_settings_defaults_are_the_library_defaults():
+    settings = Settings()
+    assert settings.budget() == SieveBudget()
+    assert settings.l_cutoff == DEFAULT_CUTOFF_CAP
+
+
+def test_threads_setting_is_rejected(capsys, tmp_path):
+    poly = ["analyze", "-a", "1", "-b", "0", "-c", "1", "-N", "100", "--no-record"]
+    with pytest.raises(SystemExit) as exc:
+        main([*poly, "--threads", "2"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads = 1\n")
+    code, _, err = run(capsys, *poly, "--config", str(cfg))
+    assert code == 2 and "unknown setting 'threads'" in err
+
+
+def test_verify_fails_under_python_O():
+    # the checks must not be bare asserts, which -O strips
+    src = str(Path(quadprimes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = ("import sys, quadprimes.cli as cli\n"
+              "cli.kronecker = lambda delta, n: 1\n"
+              "sys.exit(cli.main(['verify']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 4, proc.stdout + proc.stderr
+    assert "FAIL kronecker-euler" in proc.stdout
+    assert "1 failed" in proc.stdout
+
+
+def test_readme_configuration_table_matches_settings():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines()
+            if line.startswith("|")]
+    table = [(key.strip(), default.strip()) for key, default, _ in rows[2:]]
+    assert table == [(f.name, str(f.default)) for f in fields(Settings)]
