@@ -132,7 +132,10 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    return Settings(**values)
+    settings = Settings(**values)
+    if not 0 < settings.tol < math.inf:
+        raise SpecParseError(f"tol must be positive and finite, got {settings.tol!r}")
+    return settings
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
@@ -371,7 +374,7 @@ def cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
 def cmd_buchstab(args: argparse.Namespace, settings: Settings) -> int:
     _require_positive_n(args.N)
     f = validate(args.a, args.b, args.c)
-    if args.z < 2 or args.z * args.z > args.N:
+    if not (2 <= args.z and args.z * args.z <= args.N):
         raise SpecParseError("--z must satisfy 2 <= z <= sqrt(N)")
     report = buchstab(
         f, args.N, args.z,
@@ -399,6 +402,8 @@ def cmd_buchstab(args: argparse.Namespace, settings: Settings) -> int:
         "identity_residual": report.identity_residual,
         "include_sqrt_n": report.include_sqrt_n,
     }
+    if args.per_prime:
+        payload["per_prime"] = report.per_prime
     _emit(settings, rows, payload)
     if args.per_prime and settings.format == "table":
         for p, count in report.per_prime:
@@ -635,9 +640,8 @@ def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         settings = resolve_settings(args)
         return args.func(args, settings)
     except QuadprimesError as exc:

@@ -142,63 +142,39 @@ def enumeration_domain(f: AdmissiblePolynomial, n_value: int) -> EnumerationDoma
         X = sqrt(delta) / |a|                delta > 0, a < 0, N > |delta|/4|a|
         X = 0                                otherwise (empty configurations)
 
-    Two ranges occur exactly when delta > 0 and both real roots of f sit
-    inside the outer solution interval.
+    For a < 0 the domain is solved for N - f instead: 0 <= f <= N holds
+    exactly where 0 <= N - f <= N, N - f opens upward, and its discriminants
+    are those of f, swapped. With a > 0 from then on, n lies between the
+    roots of the outer quadratic (value N) and outside the open interval
+    between the roots of the inner one (value 0), so two ranges occur exactly
+    when the inner roots are real, distinct and inside the outer interval.
     """
     if n_value < 0:
         raise ValueError("n_value must be nonnegative")
-    a, b, delta = f.a, f.b, f.delta
-    d1 = delta + 4 * a * n_value  # discriminant of f - N (up to the sign of a)
-    intervals: list[tuple[int, int]] = []
+    a, b = f.a, f.b
+    outer, inner = f.delta + 4 * a * n_value, f.delta
+    if a < 0:
+        a, b, outer, inner = -a, -b, inner, outer
+    intervals: tuple[tuple[int, int], ...] = ()
+    if outer >= 0:
+        lo = _ceil_shifted_sqrt(-b, outer, 2 * a, -1)
+        hi = _floor_shifted_sqrt(-b, outer, 2 * a, +1)
+        pieces = [(lo, hi)]
+        if inner > 0:  # a double inner root (inner = 0) cuts nothing
+            gap_lo = _floor_shifted_sqrt(-b, inner, 2 * a, -1) + 1
+            gap_hi = _ceil_shifted_sqrt(-b, inner, 2 * a, +1) - 1
+            pieces = [(lo, min(hi, gap_lo - 1)), (max(lo, gap_hi + 1), hi)]
+        intervals = tuple(iv for iv in pieces if iv[0] <= iv[1])
 
-    if a > 0:
-        # f <= N between the roots of f - N; f >= 0 outside the open root
-        # interval of f (only relevant for delta > 0; the roots are
-        # irrational because delta is never a perfect square).
-        if d1 >= 0:
-            lo = _ceil_shifted_sqrt(-b, d1, 2 * a, -1)
-            hi = _floor_shifted_sqrt(-b, d1, 2 * a, +1)
-            if lo <= hi:
-                if delta < 0:
-                    intervals.append((lo, hi))
-                else:
-                    gap_lo = _floor_shifted_sqrt(-b, delta, 2 * a, -1) + 1
-                    gap_hi = _ceil_shifted_sqrt(-b, delta, 2 * a, +1) - 1
-                    left = (lo, min(hi, gap_lo - 1))
-                    right = (max(lo, gap_hi + 1), hi)
-                    intervals.extend(iv for iv in (left, right) if iv[0] <= iv[1])
-    else:
-        # Work with g = -f (positive leading coefficient): f >= 0 between the
-        # roots of g, f > N strictly between the roots of g + N.
-        if delta > 0:
-            ap, bp = -a, -b
-            lo = _ceil_shifted_sqrt(-bp, delta, 2 * ap, -1)
-            hi = _floor_shifted_sqrt(-bp, delta, 2 * ap, +1)
-            if lo <= hi:
-                if d1 < 0:
-                    intervals.append((lo, hi))
-                else:
-                    gap_lo = _floor_shifted_sqrt(-bp, d1, 2 * ap, -1) + 1
-                    gap_hi = _ceil_shifted_sqrt(-bp, d1, 2 * ap, +1) - 1
-                    left = (lo, min(hi, gap_lo - 1))
-                    right = (max(lo, gap_hi + 1), hi)
-                    intervals.extend(iv for iv in (left, right) if iv[0] <= iv[1])
-
-    abs_a = abs(a)
-    strict_over = 4 * abs_a * n_value > abs(delta)
-    if delta < 0 and a > 0 and strict_over:
-        x_length = math.sqrt(float(d1)) / a
-    elif delta > 0 and a > 0:
-        x_length = 4 * n_value / (math.sqrt(float(d1)) + math.sqrt(float(delta)))
-    elif delta > 0 and a < 0 and not strict_over:
-        x_length = 4 * n_value / (math.sqrt(float(d1)) + math.sqrt(float(delta)))
-    elif delta > 0 and a < 0:
-        x_length = math.sqrt(float(delta)) / abs_a
+    if inner >= 0:
+        x_length = 4 * n_value / (math.sqrt(float(outer)) + math.sqrt(float(inner)))
+    elif outer > 0:
+        x_length = math.sqrt(float(outer)) / a
     else:
         x_length = 0.0
 
     cardinality = sum(hi - lo + 1 for lo, hi in intervals)
-    return EnumerationDomain(tuple(intervals), x_length, cardinality)
+    return EnumerationDomain(intervals, x_length, cardinality)
 
 
 def _roots_mod_known_prime(f: AdmissiblePolynomial, p: int) -> tuple[int, ...]:
@@ -303,14 +279,7 @@ def roots_mod(f: AdmissiblePolynomial, modulus: int) -> RootSet:
 
 
 def rho(f: AdmissiblePolynomial, d: int) -> int:
-    """rho(d) = #{n mod d : f(n) = 0 (mod d)}, multiplicative over prime powers."""
+    """rho(d) = #{n mod d : f(n) = 0 (mod d)}."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d == 1:
-        return 1
-    count = 1
-    for p, e in factorize(d):
-        count *= len(_roots_mod_prime_power(f, p, e))
-        if count == 0:
-            return 0
-    return count
+    return len(roots_mod(f, d))

@@ -163,6 +163,32 @@ def test_buchstab_command(capsys):
     payload = json.loads(out.strip())
     assert payload["identity_residual"] == 0
     assert payload["s_a_z"] == 99
+    assert "per_prime" not in payload
+    code, out, _ = run(capsys, "buchstab", "-a", "1", "-b", "0", "-c", "1",
+                       "-N", "10000", "--z", "5", "--format", "records", "--per-prime")
+    assert code == 0
+    with_per_prime = json.loads(out.strip())
+    per_prime = with_per_prime.pop("per_prime")
+    assert with_per_prime == payload
+    assert per_prime[0] == [5, 40] and per_prime[-1][0] == 97
+    assert payload["s_a_z"] - payload["s_a_sqrt_n"] == sum(s for _, s in per_prime)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "-a", "1", "-b", "0", "-c", "1", "-N", "abc", "--no-record"],
+    ["analyze", "-a", "1", "-b", "0", "-c", "1", "-N", "100", "--budget-max-n", "abc",
+     "--no-record"],
+    ["lfun", "--delta", "1.5"],
+    ["lfun", "--delta", "-4", "--tol", "-1"],
+    ["lfun", "--delta", "-4", "--tol", "0"],
+    ["analyze", "-a", "1", "-b", "0", "-c", "1", "-N", "100", "--tol", "nan", "--no-record"],
+    ["buchstab", "-a", "1", "-b", "0", "-c", "1", "-N", "100", "--z", "nan"],
+])
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: SpecParseError: ") and err.count("\n") == 1
 
 
 def test_buchstab_bad_z_exits_2(capsys):

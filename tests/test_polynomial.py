@@ -111,6 +111,9 @@ def test_domain_negative_leading_branches():
     assert big.intervals == ((-3, 3),)
     assert big.cardinality_a == 7
     assert big.x_length == pytest.approx(40**0.5, abs=1e-12)
+    vertex = enumeration_domain(f, 10)  # N = delta/4|a|: f peaks at N, at n = 0
+    assert vertex.intervals == ((-3, 3),)
+    assert vertex.cardinality_a == 7
 
 
 def test_domain_empty_when_values_never_land():

@@ -19,8 +19,10 @@ from quadprimes.sieve import (
 )
 
 from oracles import (
+    brute_domain,
     brute_lpf_counts,
     brute_pi,
+    is_admissible,
     poly_value,
     rand_admissible,
     trial_is_prime,
@@ -81,6 +83,25 @@ def test_sieve_matches_bruteforce_on_randoms():
         assert total == res.cardinality_a
         assert res.zero_count == 0
         assert all(k <= res.key_cap for k in res.lpf_histogram)
+
+
+def test_sieve_exact_when_n_is_the_peak_of_a_downward_f():
+    # a < 0 and N = delta/4|a| = max f: f - N has a double root at the
+    # vertex, which must neither split the domain nor be counted twice
+    checked = 0
+    for a in range(-6, 0):
+        for b in range(-12, 13):
+            for c in range(1, 121):
+                delta = b * b - 4 * a * c
+                if not is_admissible(a, b, c) or delta % (4 * -a):
+                    continue
+                n_value = delta // (4 * -a)
+                res = sieve_pi(validate(a, b, c), n_value)
+                assert len(res.domain.intervals) <= 1, (a, b, c)
+                assert res.cardinality_a == len(brute_domain(a, b, c, n_value)), (a, b, c)
+                assert res.pi_f == brute_pi(a, b, c, n_value), (a, b, c)
+                checked += 1
+    assert checked == 3071
 
 
 def test_sieve_invariant_under_segmentation_and_threads():
