@@ -18,7 +18,7 @@ from .errors import BudgetExceeded, DegenerateMainTerm
 from .polynomial import AdmissiblePolynomial, PrimeRootTable, prime_root_table
 from .polynomial import roots_mod_prime  # noqa: F401  (bench/tracer.py wraps this name)
 from .primes import primes_upto
-from .sieve import SieveBudget, SieveResult, s_count, sieve_pi
+from .sieve import SieveBudget, SieveResult, checked_domain, s_count, sieve_pi
 
 DEFAULT_PRIME_BUDGET = 10**7
 
@@ -51,11 +51,13 @@ def v_product(
 ) -> float:
     """V(z) = prod_{p < z} (1 - rho(p)/p), exact rational until the final
     rounding. Equals 1 for z = 2 (empty product). Reads rho(p) from table
-    when it is f's and reaches z, and builds its own table otherwise."""
+    when it is f's, solving only the primes it lacks below z, and builds its
+    own table otherwise."""
     _check_prime_range(z, prime_budget)
     limit = math.ceil(z) - 1  # the largest integer below z
-    if table is None or table.f != f or table.limit < limit:
+    if table is None or table.f != f:
         table = prime_root_table(f, limit)
+    table = table.extended_to(limit)
     rho = (table.roots >= 0).sum(axis=1)
     keep = (table.primes < z) & (rho > 0)
     primes, rho = table.primes[keep], rho[keep]
@@ -192,6 +194,19 @@ def buchstab(
         identity_residual=residual,
         include_sqrt_n=include_sqrt_n,
     )
+
+
+def check_main_term_budget(
+    f: AdmissiblePolynomial,
+    n_value: int,
+    budget: SieveBudget,
+    prime_budget: int = DEFAULT_PRIME_BUDGET,
+) -> None:
+    """Raise now what main_term_report(f, n_value) would raise for a budget,
+    from the sieve or from V(|A|), before either allocates."""
+    a_count = checked_domain(f, n_value, budget).cardinality_a
+    if a_count >= 2:
+        _check_prime_range(a_count, prime_budget)
 
 
 @dataclass(frozen=True)

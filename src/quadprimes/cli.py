@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 from math import gcd, isqrt
 
 from . import __version__, character, sieve
-from .analytic import buchstab, main_term_report, v_product, w_product
+from .analytic import buchstab, check_main_term_budget, main_term_report, v_product, w_product
 from .character import (
     is_fundamental_discriminant,
     kronecker,
@@ -232,7 +232,9 @@ def _emit(settings: Settings, rows: list[tuple[str, object]], payload: dict) -> 
 def _analyze_one(
     f, n_value: int, settings: Settings, l_values: dict | None = None
 ) -> tuple[RunRecord, list[tuple[str, object]]]:
-    result = sieve_pi(f, n_value, budget=settings.budget())
+    budget = settings.budget()
+    check_main_term_budget(f, n_value, budget)  # before the sieve runs
+    result = sieve_pi(f, n_value, budget=budget)
     l_values = {} if l_values is None else l_values  # by Delta; scan passes one per box
     if f.delta not in l_values:
         l_values[f.delta] = l_one(f.delta, settings.tol, cutoff_cap=settings.l_cutoff)

@@ -11,13 +11,13 @@ general moduli.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from math import gcd, isqrt
 
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     CommonFactor,
     ConsistencyError,
     NotPrime,
@@ -208,6 +208,16 @@ def roots_mod_prime(f: AdmissiblePolynomial, p: int) -> RootSet:
     return RootSet(p, _roots_mod_known_prime(f, p))
 
 
+# every product of two residues mod a prime up to this bound fits int64
+MAX_TABLE_PRIME = isqrt(2**63 - 1)
+# odd primes l tried as quadratic non-residues mod p = 1 (mod 8), each with
+# the table of which residues mod l are squares
+_NON_RESIDUE_CANDIDATES = tuple(
+    (ell, np.isin(np.arange(ell), np.arange(ell) ** 2 % ell))
+    for ell in (3, 5, 7, 11, 13, 17, 19, 23)
+)
+
+
 @dataclass(frozen=True, eq=False)
 class PrimeRootTable:
     """Roots of f modulo every prime p <= limit. Row i of roots holds the
@@ -218,19 +228,150 @@ class PrimeRootTable:
     primes: np.ndarray
     roots: np.ndarray
 
+    def extended_to(self, limit: int) -> PrimeRootTable:
+        """This table if it reaches limit, else a copy with the primes in
+        (self.limit, limit] solved and appended; nothing is solved twice."""
+        if limit <= self.limit:
+            return self
+        if limit > MAX_TABLE_PRIME:
+            raise BudgetExceeded(
+                f"root table to {limit} exceeds the int64-safe bound {MAX_TABLE_PRIME}"
+            )
+        primes = np.array(primes_upto(limit)[self.primes.size :], dtype=np.int64)
+        return PrimeRootTable(
+            self.f,
+            limit,
+            np.concatenate((self.primes, primes)),
+            np.concatenate((self.roots, _root_rows(self.f, primes))),
+        )
+
 
 def prime_root_table(f: AdmissiblePolynomial, limit: int) -> PrimeRootTable:
     """Roots of f modulo each prime up to limit, solved once for both the
-    sieve and V. The primes come from a sieve, so none is tested again."""
-    primes = primes_upto(limit)
-    flat = array("q")  # 8 bytes a root, where a list of tuples costs ~15x that
-    for p in primes:
-        roots = _roots_mod_known_prime(f, p)
-        if len(roots) > 2:
-            raise ConsistencyError(f"{len(roots)} roots mod {p}: a quadratic has at most two")
-        flat.extend(roots + (-1,) * (2 - len(roots)))
-    roots = np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
-    return PrimeRootTable(f, limit, np.array(primes, dtype=np.int64), roots)
+    sieve and V. The primes come from a sieve, so none is tested again.
+    Raises BudgetExceeded for limit > MAX_TABLE_PRIME before allocating."""
+    empty = np.empty(0, dtype=np.int64)
+    return PrimeRootTable(f, min(limit, 1), empty, empty.reshape(0, 2)).extended_to(limit)
+
+
+def _root_rows(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
+    """The (len(primes), 2) root rows: p = 2 and p | a one at a time, every
+    other prime at once over arrays."""
+    rows = np.full((primes.size, 2), -1, dtype=np.int64)
+    scalar = (primes == 2) | (_mod_each(f.a, primes) == 0)
+    for i in np.flatnonzero(scalar).tolist():
+        roots = _roots_mod_known_prime(f, int(primes[i]))
+        rows[i, : len(roots)] = roots
+    rows[~scalar] = _odd_root_rows(f, primes[~scalar])
+    return rows
+
+
+def _mod_each(x: int, p: np.ndarray) -> np.ndarray:
+    """x mod each p < 2^32 for a Python int x of any size. An x outside
+    int64 is reduced 30 bits at a time, so r * 2^30 + limb stays below 2^63."""
+    if -(2**63) <= x < 2**63:
+        return x % p
+    m, r = abs(x), np.zeros_like(p)
+    for shift in range(m.bit_length() // 30 * 30, -1, -30):
+        r = ((r << 30) + ((m >> shift) & (2**30 - 1))) % p
+    return r if x > 0 else -r % p
+
+
+def _pow_mod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base**exp mod p elementwise by square-and-multiply over the bits of
+    exp; base and exp may stack several rows over the same p."""
+    result = np.ones_like(base)
+    for _ in range(int(exp.max(initial=0)).bit_length()):
+        result = np.where(exp & 1, result * base % p, result)
+        base = base * base % p
+        exp = exp >> 1
+    return result
+
+
+def _square_times(x: np.ndarray, times: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x**(2**times) mod p elementwise, squaring only the rows still due."""
+    x = x.copy()
+    due = np.flatnonzero(times > 0)
+    done = 0
+    while due.size:
+        x[due] = x[due] * x[due] % p[due]
+        done += 1
+        due = due[times[due] > done]
+    return x
+
+
+def _non_residues(p: np.ndarray) -> np.ndarray:
+    """A quadratic non-residue mod each prime p = 1 (mod 4): 2 when p = 5
+    (mod 8), else the first candidate l with (l/p) = -1. By reciprocity
+    (l/p) = (p/l) for such p, a lookup of p mod l; the rare p without one
+    among the candidates is searched one at a time."""
+    z = np.where(p % 8 == 5, 2, 0)
+    for ell, is_square in _NON_RESIDUE_CANDIDATES:
+        if z.all():
+            return z
+        z = np.where((z == 0) & ~is_square[p % ell], ell, z)
+    for i in np.flatnonzero(z == 0).tolist():
+        q = int(p[i])
+        z[i] = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) == q - 1)
+    return z
+
+
+def _odd_root_rows(f: AdmissiblePolynomial, p: np.ndarray) -> np.ndarray:
+    """Root rows mod odd primes p <= MAX_TABLE_PRIME that do not divide a.
+
+    Completing the square turns f = 0 into (2an + b)^2 = delta, so the roots
+    are (-b +- s)/(2a) with s^2 = delta. s comes from Tonelli-Shanks (H.
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.1)
+    run over arrays, on the rows not yet solved. Every product of two
+    residues is below p^2 < 2^63.
+    """
+    d = _mod_each(f.delta, p)
+    minus_b = _mod_each(-f.b, p)
+    two_e = (p - 1) & (1 - p)  # p - 1 = q * 2^e
+    e = np.frexp(two_e)[1] - 1
+    q = (p - 1) >> e
+    bases, exps = np.stack((_mod_each(2 * f.a, p), d)), np.stack((p - 2, (q - 1) >> 1))
+    inv_2a, w = _pow_mod(bases, exps, p)  # 1/(2a) and d^((q-1)/2)
+    s = w * d % p  # d^((q+1)/2), the root already when t = 1
+    t = w * s % p  # d^q
+    # Euler's criterion d^((p-1)/2) = t^(2^(e-1)); d = 0 gives s = t = 0
+    residue = (_square_times(t, e - 1, p) == 1) | (d == 0)
+
+    todo = np.flatnonzero(residue & (t > 1))  # p = 1 (mod 4) only
+    pt, m, tt, st = p[todo], e[todo], t[todo], s[todo]
+    y = _pow_mod(_non_residues(pt), q[todo], pt)
+    while todo.size:
+        # i = the least i > 0 with t^(2^i) = 1, and i < m; squaring keeps 1 at 1
+        i, power = np.ones_like(m), tt
+        for _ in range(int(m.max()) - 1):
+            power = power * power % pt
+            i += power != 1
+        b = _square_times(y, m - i - 1, pt)
+        y = b * b % pt
+        st = st * b % pt
+        tt = tt * y % pt
+        m = i
+        done = tt == 1
+        s[todo[done]] = st[done]
+        todo, pt, m, tt, st, y = (x[~done] for x in (todo, pt, m, tt, st, y))
+
+    pairs = np.stack(((minus_b + s) % p, (minus_b - s) % p), axis=1)
+    rows = np.sort(pairs * inv_2a[:, None] % p[:, None], axis=1)
+    rows[d == 0, 1] = -1
+    rows[~residue] = -1
+    _check_roots(f, p, rows)
+    return rows
+
+
+def _check_roots(f: AdmissiblePolynomial, p: np.ndarray, rows: np.ndarray) -> None:
+    """Raise ConsistencyError unless (a r + b) r + c = 0 (mod p) for every
+    root r >= 0 of every row; a real check, so it also runs under python -O."""
+    a, b, c = (_mod_each(k, p)[:, None] for k in (f.a, f.b, f.c))
+    pc = p[:, None]
+    bad = (rows >= 0) & (((a * rows % pc + b) % pc * rows % pc + c) % pc != 0)
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise ConsistencyError(f"{rows[i].tolist()} mod {p[i]} are not all roots of {f}")
 
 
 def _roots_mod_prime_power(f: AdmissiblePolynomial, p: int, e: int) -> list[int]:

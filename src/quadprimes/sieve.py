@@ -119,13 +119,11 @@ def _segment_counts(
     return pi_count, units, zeros, large, dict(zip(keys.tolist(), counts.tolist()))
 
 
-def sieve_pi(
-    f: AdmissiblePolynomial, n_value: int, budget: SieveBudget | None = None
-) -> SieveResult:
-    """Count primes among f(n) on the enumeration domain and classify every
-    value by least prime factor. Every count is an exact integer, so the
-    result does not depend on the segment size."""
-    budget = budget or SieveBudget()
+def checked_domain(
+    f: AdmissiblePolynomial, n_value: int, budget: SieveBudget
+) -> EnumerationDomain:
+    """The enumeration domain, once every check sieve_pi makes before it
+    allocates has passed; raises what sieve_pi would raise."""
     if n_value < 1:
         raise ValueError("n_value must be >= 1")
     if n_value > budget.max_n:
@@ -133,19 +131,31 @@ def sieve_pi(
     if n_value > MAX_SAFE_N:
         raise BudgetExceeded(f"N = {n_value} exceeds the int64-safe bound {MAX_SAFE_N}")
     domain = enumeration_domain(f, n_value)
-    key_cap = isqrt(n_value)
-    if not domain.intervals:
-        return SieveResult(0, 0, n_value, key_cap, 0, 0, 0, 0, {}, domain)
-    vmax = _max_value(f, domain)
-    strike_limit = isqrt(vmax)
+    strike_limit = isqrt(_max_value(f, domain)) if domain.intervals else 0
     if strike_limit > budget.max_sieve_prime:
         raise BudgetExceeded(
             f"sieve needs primes to {strike_limit}, budget max_sieve_prime = "
             f"{budget.max_sieve_prime}"
         )
-    # the main term reads V(|A|) off the same table
-    table = prime_root_table(f, max(strike_limit, domain.cardinality_a))
-    keep = (table.primes <= strike_limit) & (table.roots[:, 0] >= 0)
+    return domain
+
+
+def sieve_pi(
+    f: AdmissiblePolynomial, n_value: int, budget: SieveBudget | None = None
+) -> SieveResult:
+    """Count primes among f(n) on the enumeration domain and classify every
+    value by least prime factor. Every count is an exact integer, so the
+    result does not depend on the segment size."""
+    budget = budget or SieveBudget()
+    domain = checked_domain(f, n_value, budget)
+    key_cap = isqrt(n_value)
+    if not domain.intervals:
+        return SieveResult(0, 0, n_value, key_cap, 0, 0, 0, 0, {}, domain)
+    vmax = _max_value(f, domain)
+    strike_limit = isqrt(vmax)
+    # the main term extends this same table to |A| when it needs V(|A|)
+    table = prime_root_table(f, strike_limit)
+    keep = table.roots[:, 0] >= 0
     pairs = zip(table.primes[keep].tolist(), table.roots[keep].tolist())
     strikes = [(p, (r, s) if s >= 0 else (r,)) for p, (r, s) in pairs]
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quadprimes.analytic import (
@@ -13,7 +14,7 @@ from quadprimes.analytic import (
 )
 from quadprimes.character import kronecker
 from quadprimes.errors import BudgetExceeded
-from quadprimes.polynomial import roots_mod_prime, validate
+from quadprimes.polynomial import prime_root_table, roots_mod_prime, validate
 from quadprimes.sieve import sieve_pi
 
 from oracles import SMALL_PRIMES, rand_admissible
@@ -52,6 +53,23 @@ def test_v_product_budget():
         v_product(f, 10**8, prime_budget=10**6)
     with pytest.raises(ValueError):
         v_product(f, 1.5)
+
+
+def test_v_product_extends_a_short_table_bit_for_bit():
+    for a, b, c in ((1, 1, 41), (-3, 7, 11), (6, 5, -13)):
+        f = validate(a, b, c)
+        for z in (3000, 2000.5):
+            want = v_product(f, z)
+            full = prime_root_table(f, 2999)
+            for short in (0, 1, 2, 3, 100, 1000, 1999, 2998):
+                table = prime_root_table(f, short)
+                assert v_product(f, z, table=table) == want, (a, b, c, z, short)
+                longer = table.extended_to(2999)
+                assert longer.limit == 2999
+                assert np.array_equal(longer.primes, full.primes)
+                assert np.array_equal(longer.roots, full.roots)
+            assert v_product(f, z, table=full) == want
+            assert v_product(f, z, table=prime_root_table(validate(1, 0, 1), 5000)) == want
 
 
 def test_w_product_matches_fraction_reference():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import quadprimes
+from quadprimes import sieve
 from quadprimes.character import DEFAULT_CUTOFF_CAP
 from quadprimes.cli import Settings, build_parser, main, resolve_settings
 from quadprimes.records import from_json_line, load_records
@@ -87,6 +88,20 @@ def test_budget_failure_exits_3(capsys):
                        "-N", "1000000", "--tol", "1e-12", "--no-record")
     assert code == 3
     assert "ToleranceUnreachable" in err
+
+
+def test_main_term_budget_fails_before_the_sieve(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the sieve ran")
+
+    monkeypatch.setattr(sieve, "prime_root_table", no_work)
+    monkeypatch.setattr(sieve, "_segment_counts", no_work)
+    code, _, err = run(capsys, "analyze", "-a", "1", "-b", "1", "-c", "41", "-N", "1e14",
+                       "--budget-max-n", "1e14", "--budget-max-sieve-prime", "1e7",
+                       "--no-record")
+    assert code == 3
+    assert err == ("error: BudgetExceeded: prime enumeration to 20000000 "
+                   "exceeds budget 10000000\n")
 
 
 def test_scan_table_skips_inadmissible(capsys, tmp_path):

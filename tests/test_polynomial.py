@@ -1,17 +1,26 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from quadprimes import polynomial
 from quadprimes.errors import (
+    BudgetExceeded,
     CommonFactor,
+    ConsistencyError,
     NotPrime,
     ParityObstruction,
     SquareDiscriminant,
+    ValidationError,
     ZeroLeadingCoefficient,
 )
 from quadprimes.polynomial import (
+    MAX_TABLE_PRIME,
     enumeration_domain,
+    prime_root_table,
     rho,
     roots_mod,
     roots_mod_prime,
@@ -223,3 +232,64 @@ def test_rho_prime_at_most_two_and_rho2_at_most_one():
         assert rho(f, 2) <= 1
         for p in (3, 5, 7, 11, 13):
             assert rho(f, p) <= 2
+
+
+def _assert_rows_match_per_prime_solver(f, limit):
+    table = prime_root_table(f, limit)
+    assert table.limit == limit
+    assert table.primes.tolist() == primes_upto(limit)
+    assert table.roots.shape == (table.primes.size, 2)
+    for p, row in zip(table.primes.tolist(), table.roots.tolist()):
+        roots = roots_mod_prime(f, p).roots
+        assert row == list(roots) + [-1] * (2 - len(roots)), (str(f), p)
+
+
+def test_prime_root_table_matches_per_prime_solver():
+    # 786433 = 3 * 2^18 + 1 has the deepest Tonelli-Shanks loop below 2e6,
+    # and delta of the first polynomial has t of order 2^17 there
+    for a, b, c in (
+        (-30, 397, -11),  # a < 0, delta = 7 * 83 * 269 > 0, p | 2a for 2, 3, 5
+        (3, 2**64 + 1, -(2**80) - 3),  # b and c beyond int64
+        (1, 1, 41),
+    ):
+        _assert_rows_match_per_prime_solver(validate(a, b, c), 786433)
+    assert prime_root_table(validate(1, 1, 41), 1).primes.size == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.integers(-60, 60).filter(lambda a: a != 0),
+    b=st.integers(-(2**70), 2**70),
+    c=st.integers(-(2**80), 2**80),
+    limit=st.integers(0, 5000),
+)
+def test_prime_root_table_property(a, b, c, limit):
+    try:
+        f = validate(a, b, c)
+    except ValidationError:
+        assume(False)
+    _assert_rows_match_per_prime_solver(f, limit)
+
+
+def test_prime_root_table_refuses_limits_beyond_int64_products(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"primes_upto({n}) allocated")
+
+    f = validate(1, 1, 41)
+    monkeypatch.setattr(polynomial, "primes_upto", no_sieve)
+    assert MAX_TABLE_PRIME == 3_037_000_499
+    with pytest.raises(BudgetExceeded):
+        prime_root_table(f, MAX_TABLE_PRIME + 1)
+    # at the bound itself the guard lets the table through
+    monkeypatch.setattr(polynomial, "primes_upto", lambda n: [2, 3, 5, 7, 11, 13])
+    table = prime_root_table(f, MAX_TABLE_PRIME)
+    assert table.limit == MAX_TABLE_PRIME and table.roots.tolist() == [[-1, -1]] * 6
+
+
+def test_prime_root_table_checks_every_vector_root():
+    f = validate(1, 1, 41)
+    p = np.array([41, 43, 47], dtype=np.int64)
+    rows = np.array([[0, 40], [1, 41], [2, -1]], dtype=np.int64)
+    polynomial._check_roots(f, p, rows)  # padding is not checked
+    with pytest.raises(ConsistencyError):
+        polynomial._check_roots(f, p, rows + [[0, 0], [0, 0], [1, 0]])
