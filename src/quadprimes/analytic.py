@@ -18,7 +18,7 @@ from .errors import BudgetExceeded, DegenerateMainTerm
 from .polynomial import AdmissiblePolynomial, PrimeRootTable, prime_root_table
 from .polynomial import roots_mod_prime  # noqa: F401  (bench/tracer.py wraps this name)
 from .primes import primes_upto
-from .sieve import SieveBudget, SieveResult, checked_domain, s_count, sieve_pi
+from .sieve import SieveBudget, SieveResult, s_count, sieve_pi
 
 DEFAULT_PRIME_BUDGET = 10**7
 
@@ -196,17 +196,15 @@ def buchstab(
     )
 
 
-def check_main_term_budget(
-    f: AdmissiblePolynomial,
-    n_value: int,
-    budget: SieveBudget,
-    prime_budget: int = DEFAULT_PRIME_BUDGET,
-) -> None:
-    """Raise now what main_term_report(f, n_value) would raise for a budget,
-    from the sieve or from V(|A|), before either allocates."""
-    a_count = checked_domain(f, n_value, budget).cardinality_a
-    if a_count >= 2:
-        _check_prime_range(a_count, prime_budget)
+def main_term_needs_v(a_count: int, prime_budget: int) -> bool:
+    """Whether the main term A * V(A) needs V(A), a product over the primes
+    below A: not for A < 2, where it is the empty product 1. Raises
+    BudgetExceeded when those primes exceed prime_budget, so a caller that
+    knows A can fail before it sieves."""
+    if a_count < 2:
+        return False
+    _check_prime_range(a_count, prime_budget)
+    return True
 
 
 @dataclass(frozen=True)
@@ -244,7 +242,7 @@ def main_term_report(
     if a_count == 0:
         return MainTermReport(res.pi_f, 0, 1.0, 0.0, None, None, True)
     v = 1.0
-    if a_count >= 2:
+    if main_term_needs_v(a_count, prime_budget):
         v = v_product(f, a_count, prime_budget=prime_budget, table=res.root_table)
     main = a_count * v
     if main == 0.0:

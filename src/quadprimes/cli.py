@@ -20,7 +20,14 @@ from dataclasses import asdict, dataclass, fields
 from math import gcd, isqrt
 
 from . import __version__, character, sieve
-from .analytic import buchstab, check_main_term_budget, main_term_report, v_product, w_product
+from .analytic import (
+    DEFAULT_PRIME_BUDGET,
+    buchstab,
+    main_term_needs_v,
+    main_term_report,
+    v_product,
+    w_product,
+)
 from .character import (
     is_fundamental_discriminant,
     kronecker,
@@ -233,8 +240,9 @@ def _analyze_one(
     f, n_value: int, settings: Settings, l_values: dict | None = None
 ) -> tuple[RunRecord, list[tuple[str, object]]]:
     budget = settings.budget()
-    check_main_term_budget(f, n_value, budget)  # before the sieve runs
-    result = sieve_pi(f, n_value, budget=budget)
+    domain = sieve.checked_domain(f, n_value, budget)
+    main_term_needs_v(domain.cardinality_a, DEFAULT_PRIME_BUDGET)  # fails before the sieve
+    result = sieve_pi(f, n_value, budget=budget, domain=domain)
     l_values = {} if l_values is None else l_values  # by Delta; scan passes one per box
     if f.delta not in l_values:
         l_values[f.delta] = l_one(f.delta, settings.tol, cutoff_cap=settings.l_cutoff)

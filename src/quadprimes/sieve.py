@@ -141,13 +141,19 @@ def checked_domain(
 
 
 def sieve_pi(
-    f: AdmissiblePolynomial, n_value: int, budget: SieveBudget | None = None
+    f: AdmissiblePolynomial,
+    n_value: int,
+    budget: SieveBudget | None = None,
+    *,
+    domain: EnumerationDomain | None = None,
 ) -> SieveResult:
     """Count primes among f(n) on the enumeration domain and classify every
     value by least prime factor. Every count is an exact integer, so the
-    result does not depend on the segment size."""
+    result does not depend on the segment size. A caller that has already
+    run checked_domain(f, n_value, budget) passes its result as domain."""
     budget = budget or SieveBudget()
-    domain = checked_domain(f, n_value, budget)
+    if domain is None:
+        domain = checked_domain(f, n_value, budget)
     key_cap = isqrt(n_value)
     if not domain.intervals:
         return SieveResult(0, 0, n_value, key_cap, 0, 0, 0, 0, {}, domain)

@@ -3,8 +3,6 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from quadprimes import polynomial
 from quadprimes.errors import (
@@ -14,7 +12,6 @@ from quadprimes.errors import (
     NotPrime,
     ParityObstruction,
     SquareDiscriminant,
-    ValidationError,
     ZeroLeadingCoefficient,
 )
 from quadprimes.polynomial import (
@@ -234,7 +231,7 @@ def test_rho_prime_at_most_two_and_rho2_at_most_one():
             assert rho(f, p) <= 2
 
 
-def _assert_rows_match_per_prime_solver(f, limit):
+def assert_rows_match_per_prime_solver(f, limit):
     table = prime_root_table(f, limit)
     assert table.limit == limit
     assert table.primes.tolist() == primes_upto(limit)
@@ -252,23 +249,8 @@ def test_prime_root_table_matches_per_prime_solver():
         (3, 2**64 + 1, -(2**80) - 3),  # b and c beyond int64
         (1, 1, 41),
     ):
-        _assert_rows_match_per_prime_solver(validate(a, b, c), 786433)
+        assert_rows_match_per_prime_solver(validate(a, b, c), 786433)
     assert prime_root_table(validate(1, 1, 41), 1).primes.size == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    a=st.integers(-60, 60).filter(lambda a: a != 0),
-    b=st.integers(-(2**70), 2**70),
-    c=st.integers(-(2**80), 2**80),
-    limit=st.integers(0, 5000),
-)
-def test_prime_root_table_property(a, b, c, limit):
-    try:
-        f = validate(a, b, c)
-    except ValidationError:
-        assume(False)
-    _assert_rows_match_per_prime_solver(f, limit)
 
 
 def test_prime_root_table_refuses_limits_beyond_int64_products(monkeypatch):
