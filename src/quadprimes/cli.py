@@ -441,7 +441,7 @@ def cmd_lfun(args: argparse.Namespace, settings: Settings) -> int:
     }
     _emit(settings, rows, payload)
     if oracle is not None and abs(value - oracle) > bound + 1e-12:
-        print("consistency failure: partial sum disagrees with oracle", file=sys.stderr)
+        print("consistency failure: erfc series disagrees with oracle", file=sys.stderr)
         return 4
     return 0
 

@@ -147,7 +147,8 @@ def enumeration_domain(f: AdmissiblePolynomial, n_value: int) -> EnumerationDoma
     are those of f, swapped. With a > 0 from then on, n lies between the
     roots of the outer quadratic (value N) and outside the open interval
     between the roots of the inner one (value 0), so two ranges occur exactly
-    when the inner roots are real, distinct and inside the outer interval.
+    when the inner roots are real, distinct and inside the outer interval,
+    and an integer lies strictly between them.
     """
     if n_value < 0:
         raise ValueError("n_value must be nonnegative")
@@ -163,7 +164,8 @@ def enumeration_domain(f: AdmissiblePolynomial, n_value: int) -> EnumerationDoma
         if inner > 0:  # a double inner root (inner = 0) cuts nothing
             gap_lo = _floor_shifted_sqrt(-b, inner, 2 * a, -1) + 1
             gap_hi = _ceil_shifted_sqrt(-b, inner, 2 * a, +1) - 1
-            pieces = [(lo, min(hi, gap_lo - 1)), (max(lo, gap_hi + 1), hi)]
+            if gap_lo <= gap_hi:  # else no integer lies between the roots
+                pieces = [(lo, min(hi, gap_lo - 1)), (max(lo, gap_hi + 1), hi)]
         intervals = tuple(iv for iv in pieces if iv[0] <= iv[1])
 
     if inner >= 0:

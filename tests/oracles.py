@@ -1,14 +1,18 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: trial-division primality, brute-force
-window scans, classical sieves. Nothing imports from quadprimes so a bug in
-the package cannot hide in its own oracle.
+window scans, classical sieves, and L(1, chi) from a partial sum or from
+cycles of reduced forms and a Pell equation. Nothing imports from quadprimes
+so a bug in the package cannot hide in its own oracle.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from math import gcd, isqrt
+
+import numpy as np
 
 _SIEVE_LIMIT = 10**4
 
@@ -127,3 +131,103 @@ def euler_symbol(delta: int, p: int) -> int:
     if r == 0:
         return 0
     return 1 if r == 1 else -1
+
+
+def kronecker_symbol(d: int, n: int) -> int:
+    """(d/n) for n >= 1, from the prime factors of n: Euler's criterion at
+    odd primes, d mod 8 at 2."""
+    out, m, p = 1, n, 2
+    while p * p <= m:
+        while m % p == 0:
+            out *= _symbol_at_prime(d, p)
+            m //= p
+        p += 1
+    return out * _symbol_at_prime(d, m) if m > 1 else out
+
+
+def _symbol_at_prime(d: int, p: int) -> int:
+    if p == 2:
+        return 0 if d % 2 == 0 else 1 if d % 8 in (1, 7) else -1
+    return euler_symbol(d, p)
+
+
+def partial_sum_l_value(delta: int, tol: float) -> tuple[float, float]:
+    """(value, bound): L(1, chi_delta) as sum over n <= M of chi(n)/n, with M
+    the least cutoff whose Polya-Vinogradov tail bound 2*sqrt(q)*log(q)/(M+1),
+    q = |delta|, is at most tol."""
+    q = abs(delta)
+    k_bound = math.sqrt(q) * math.log(q)
+    m_cut = math.ceil(2.0 * k_bound / tol)
+    period = np.array([kronecker_symbol(delta, r) if r else 0 for r in range(q)], dtype=float)
+    n = np.arange(1, m_cut + 1)
+    return math.fsum((period[n % q] / n).tolist()), 2.0 * k_bound / (m_cut + 1)
+
+
+def _rho(d: int, form: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The reduction operator on an indefinite form: (c, b', (b'^2 - d)/4c)
+    with b' = -b (mod 2|c|) and sqrt(d) - 2|c| < b' < sqrt(d)."""
+    _, b, c = form
+    s = isqrt(d)
+    b2 = s - (s + b) % (2 * abs(c))
+    return c, b2, (b2 * b2 - d) // (4 * c)
+
+
+def narrow_class_number(d: int) -> int:
+    """h+(d) for d > 0 not a square: the number of rho-cycles of reduced
+    primitive forms (a, b, c), where 0 < b < sqrt(d) and
+    sqrt(d) - b < 2|a| < sqrt(d) + b."""
+    forms = set()
+    for b in range(2 - d % 2, isqrt(d) + 1, 2):
+        ac = (b * b - d) // 4
+        for size in range(1, isqrt(d) + 1):  # |a| < sqrt(d) when reduced
+            wide = d < (2 * size + b) ** 2
+            narrow = 2 * size < b or (2 * size - b) ** 2 < d
+            if -ac % size == 0 and wide and narrow:
+                for a in (size, -size):
+                    if gcd(gcd(a, b), ac // a) == 1:
+                        forms.add((a, b, ac // a))
+    cycles = 0
+    while forms:
+        start = forms.pop()
+        form = _rho(d, start)
+        while form != start:
+            forms.remove(form)  # rho keeps a form reduced
+            form = _rho(d, form)
+        cycles += 1
+    return cycles
+
+
+def log_totally_positive_unit(d: int) -> float:
+    """log eps+ for d > 0 not a square: eps+ = (x + y sqrt d)/2 from the least
+    solution of x^2 - d*y^2 = 4 with y > 0, which is eps, or eps^2 when the
+    fundamental unit eps has norm -1. Above d = 16 every solution comes from a
+    convergent p/q of sqrt(d): as (p, q) when p^2 - d*q^2 = 4, as (2p, 2q) when
+    it is 1."""
+    if d <= 16:
+        y = 1
+        while isqrt(d * y * y + 4) ** 2 != d * y * y + 4:
+            y += 1
+        x = isqrt(d * y * y + 4)
+    else:
+        root = isqrt(d)
+        m, den, a = 0, 1, root
+        p_prev, p, q_prev, q = 1, root, 0, 1
+        best = None
+        while best is None or q < best[1]:
+            norm = p * p - d * q * q
+            hit = (p, q) if norm == 4 else (2 * p, 2 * q) if norm == 1 else None
+            if hit and (best is None or hit[1] < best[1]):
+                best = hit
+            m = den * a - m
+            den = (d - m * m) // den
+            a = (root + m) // den
+            p_prev, p = p, a * p + p_prev
+            q_prev, q = q, a * q + q_prev
+        x, y = best
+    return math.log(x) + math.log1p(y / x * math.sqrt(d)) - math.log(2.0)  # x may be huge
+
+
+def l_value_positive(d: int) -> float:
+    """L(1, chi_d) for a fundamental d > 0 by the class-number formula
+    2*h*log(eps)/sqrt(d), written as h+ * log(eps+) / sqrt(d)."""
+    return narrow_class_number(d) * log_totally_positive_unit(d) / math.sqrt(d)

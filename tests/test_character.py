@@ -4,7 +4,7 @@ import random
 import pytest
 
 from quadprimes.character import (
-    _chi_period,
+    _chi_upto,
     class_number,
     is_discriminant,
     is_fundamental_discriminant,
@@ -24,7 +24,14 @@ from quadprimes.errors import (
 )
 from quadprimes.polynomial import validate
 
-from oracles import SMALL_PRIMES, euler_symbol
+from oracles import (
+    SMALL_PRIMES,
+    euler_symbol,
+    kronecker_symbol,
+    l_value_positive,
+    partial_sum_l_value,
+    simple_sieve,
+)
 
 
 def test_kronecker_matches_euler_criterion():
@@ -79,13 +86,12 @@ def test_is_discriminant():
     assert not is_discriminant(1)
 
 
-def test_chi_period_table_matches_symbol():
-    for delta in (-163, -15, -4, -3, 5, 8, 12, 21):
-        table = _chi_period(delta)
-        q = abs(delta)
-        assert len(table) == q
-        for n in range(3 * q):
-            assert table[n % q] == kronecker(delta, n), (delta, n)
+def test_chi_table_matches_symbol():
+    # the limits cross a prime square and leave primes above sqrt(limit)
+    for delta in (-163, -15, -4, -3, 5, 8, 12, 21, -3999971):
+        for limit in (1, 2, 3, 4, 10, 48, 49, 50, 1000):
+            table = _chi_upto(delta, limit).tolist()
+            assert table == [kronecker(delta, n) for n in range(limit + 1)], (delta, limit)
 
 
 def test_lambda_is_divisor_sum_of_chi():
@@ -144,10 +150,60 @@ def test_l_one_input_validation():
         l_one(9, 1e-4)
     with pytest.raises(ValueError):
         l_one(-4, 0.0)
+    _, bound = l_one(-163, 1e-8)
+    assert 0 < bound <= 1e-8
     with pytest.raises(ToleranceUnreachable):
-        l_one(-163, 1e-8)  # needs ~1.3e10 terms against the 1e9 cap
-    value, bound = l_one(-163, 1e-7, cutoff_cap=2 * 10**9)  # raised cap works
-    assert bound <= 1e-7
+        l_one(-163, 1e-15)  # below the rounding allowance of the sum
+    with pytest.raises(ToleranceUnreachable):
+        l_one(-163, 1e-8, cutoff_cap=10)  # the series needs 30 terms
+
+
+def _euler_factor(d, m):
+    """prod over primes p | m of (1 - chi_d(p)/p), from the oracle's symbol."""
+    return math.prod(1 - kronecker_symbol(d, p) / p for p in simple_sieve(m) if m % p == 0)
+
+
+def test_l_one_matches_exact_oracle_on_positive_discriminants():
+    # every fundamental 5 <= D < 2000, times m^2 for m <= 6
+    for d in range(5, 2000):
+        if not is_fundamental_discriminant(d):
+            continue
+        exact = l_value_positive(d)
+        for m in range(1, 7):
+            value, bound = l_one(d * m * m, 1e-4)
+            assert 0 < bound <= 1e-4
+            assert abs(value - exact * _euler_factor(d, m)) <= bound + 1e-12, (d, m)
+
+
+def test_l_one_matches_class_number_oracle_on_negative_discriminants():
+    # every fundamental -2000 < D < 0, times m^2 for m <= 6
+    for d in range(-3, -2000, -1):
+        if not is_fundamental_discriminant(d):
+            continue
+        exact = l_one_class_number_oracle(d)
+        for m in range(1, 7):
+            value, bound = l_one(d * m * m, 1e-4)
+            assert 0 < bound <= 1e-4
+            assert abs(value - exact * _euler_factor(d, m)) <= bound + 1e-12, (d, m)
+
+
+def test_l_one_bound_holds_near_the_rounding_floor():
+    # (Delta, D, m) with Delta = D*m^2
+    for delta, d, m in ((-3, -3, 1), (-4, -4, 1), (-163, -163, 1), (-5460, -5460, 1),
+                        (5, 5, 1), (8, 8, 1), (1997, 1997, 1), (-980, -20, 7),
+                        (468, 13, 6)):
+        exact = l_value_positive(d) if d > 0 else l_one_class_number_oracle(d)
+        value, bound = l_one(delta, 1e-11)
+        assert 0 < bound <= 1e-11
+        assert abs(value - exact * _euler_factor(d, m)) <= bound + 1e-14, delta
+
+
+def test_l_one_matches_partial_sum_oracle():
+    for delta in (-3, -4, -7, -12, -15, -16, -23, -28, -63, -75, -163, -300,
+                  5, 8, 12, 13, 20, 21, 45, 60, 65, 125, 229, 300, 401, 512):
+        value, bound = l_one(delta, 1e-4)
+        oracle, oracle_bound = partial_sum_l_value(delta, 1e-3)
+        assert abs(value - oracle) <= bound + oracle_bound, delta
 
 
 def test_class_number_goldens():

@@ -85,9 +85,22 @@ def test_budget_failure_exits_3(capsys):
     assert code == 3
     assert "BudgetExceeded" in err
     code, _, err = run(capsys, "analyze", "-a", "1", "-b", "0", "-c", "1",
-                       "-N", "1000000", "--tol", "1e-12", "--no-record")
-    assert code == 3
+                       "-N", "1000000", "--tol", "1e-15", "--no-record")
+    assert code == 3  # below what double precision certifies for L(1, chi_-4)
     assert "ToleranceUnreachable" in err
+
+
+def test_l_cutoff_is_checked_before_the_series(capsys, monkeypatch):
+    from quadprimes import character
+
+    def no_work(*args):
+        raise AssertionError("the series was built")
+
+    monkeypatch.setattr(character, "_chi_upto", no_work)
+    monkeypatch.setattr(character, "_series", no_work)
+    code, _, err = run(capsys, "lfun", "--delta", "-163", "--budget-l-cutoff", "10")
+    assert code == 3
+    assert "ToleranceUnreachable" in err and "cap is 10" in err
 
 
 def test_main_term_budget_fails_before_the_sieve(capsys, monkeypatch):
@@ -237,26 +250,35 @@ def test_verify_suite_passes(capsys):
 
 
 def test_settings_precedence(capsys, tmp_path, monkeypatch):
+    import quadprimes.cli as cli
+
     cfg = tmp_path / "q.cfg"
     cfg.write_text("# comment\ntol = 1e-3\n")
     path = str(tmp_path / "r.jsonl")
+    seen = []
+    l_one = cli.l_one
 
-    def bound_of(*argv):
+    def recording(delta, tol, **kwargs):
+        seen.append(tol)
+        return l_one(delta, tol, **kwargs)
+
+    monkeypatch.setattr(cli, "l_one", recording)
+
+    def tol_of(*argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        return from_json_line(out.strip()).l_one_bound
+        assert from_json_line(out.strip()).l_one_bound <= seen[-1]
+        return seen[-1]
 
     base = ("analyze", "-a", "1", "-b", "0", "-c", "1", "-N", "100",
             "--format", "records", "--records", path)
-    assert bound_of(*base, "--config", str(cfg)) <= 1e-3
+    assert tol_of(*base, "--config", str(cfg)) == 1e-3
     monkeypatch.setenv("QUADPRIMES_TOL", "1e-2")
-    env_bound = bound_of(*base, "--config", str(cfg))
-    assert 1e-3 < env_bound <= 1e-2  # env beats config
-    flag_bound = bound_of(*base, "--config", str(cfg), "--tol", "1e-5")
-    assert flag_bound <= 1e-5  # flag beats env
+    assert tol_of(*base, "--config", str(cfg)) == 1e-2  # env beats config
+    assert tol_of(*base, "--config", str(cfg), "--tol", "1e-5") == 1e-5  # flag beats env
     monkeypatch.setenv("QUADPRIMES_CONFIG", str(cfg))
     monkeypatch.delenv("QUADPRIMES_TOL")
-    assert bound_of(*base) <= 1e-3  # config path via environment
+    assert tol_of(*base) == 1e-3  # config path via environment
 
 
 def test_config_file_errors(capsys, tmp_path):
@@ -390,6 +412,18 @@ def test_verify_fails_under_python_O():
     assert proc.returncode == 4, proc.stdout + proc.stderr
     assert "FAIL kronecker-euler" in proc.stdout
     assert "1 failed" in proc.stdout
+
+
+def test_lfun_imports_no_scipy():
+    # numpy is the only declared dependency; scipy would also cost start-up time
+    src = str(Path(quadprimes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = ("import sys, quadprimes.cli as cli\n"
+              "code = cli.main(['lfun', '--delta', '-163'])\n"
+              "sys.exit(code or 10 * ('scipy' in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_readme_configuration_table_matches_settings():

@@ -97,6 +97,14 @@ def test_domain_golden_two_intervals():
     assert dom.x_length == pytest.approx(3.17157287525381, abs=1e-10)
 
 
+def test_domain_merges_touching_intervals():
+    # no integer lies between the roots 0.37 and 0.77 of 7x^2 - 8x + 2
+    f = validate(7, -8, 2)
+    dom = enumeration_domain(f, 4481)
+    assert dom.intervals == ((-24, 25),)
+    assert dom.cardinality_a == 50
+
+
 def test_domain_golden_negative_definite():
     f = validate(1, 0, 1)
     dom = enumeration_domain(f, 10)
@@ -142,6 +150,8 @@ def test_domain_matches_brute_scan_and_interval_bound():
         assert len(dom.intervals) <= 2
         for lo, hi in dom.intervals:
             assert lo <= hi
+        if len(dom.intervals) == 2:
+            assert dom.intervals[0][1] + 1 < dom.intervals[1][0]
         if dom.x_length >= 2:
             assert dom.x_length - 2 < dom.cardinality_a < dom.x_length + 2
 
