@@ -2,9 +2,14 @@
 function, and the main-term comparison A * V(A) against the exact prime
 count.
 
-V is accumulated as an exact big-integer rational and rounded once at the
-end; the Buchstab identity is evaluated entirely in integers so its residual
-is a hard consistency check, not a float artifact.
+V and W are products of factors num/den over the primes. Each is taken as a
+pairwise product of double words (Dekker's error-free transforms) that
+carries a rigorous relative error bound. Its nearest double is returned when
+an exact integer check shows that the bound keeps the product clear of every
+rounding boundary, and the exact big-integer ratio decides otherwise, so the
+result is always the exact rational rounded once. The Buchstab identity is
+evaluated entirely in integers so its residual is a hard consistency check,
+not a float artifact.
 """
 
 from __future__ import annotations
@@ -13,14 +18,33 @@ import math
 from dataclasses import dataclass
 from math import isqrt
 
+import numpy as np
+
 from .character import kronecker
 from .errors import BudgetExceeded, DegenerateMainTerm
-from .polynomial import AdmissiblePolynomial, PrimeRootTable, prime_root_table
+from .polynomial import (
+    AdmissiblePolynomial,
+    PrimeRootTable,
+    check_table_limit,
+    legendre,
+    prime_rho,
+)
 from .polynomial import roots_mod_prime  # noqa: F401  (bench/tracer.py wraps this name)
 from .primes import primes_upto
 from .sieve import SieveBudget, SieveResult, s_count, sieve_pi
 
 DEFAULT_PRIME_BUDGET = 10**7
+
+# Relative error bounds, with u = 2^-53: u^2 for one factor num/den taken as
+# the double word fl(num/den) + fl(remainder/den), the remainder exact by
+# TwoProduct; 7u^2 for one double-word product by Algorithm 10 (DWTimesDW1,
+# no fused multiply-add needed) of M. Joldes, J.-M. Muller and V. Popescu,
+# "Tight and rigorous error bounds for basic building blocks of double-word
+# arithmetic", ACM TOMS 44(2), 2017.
+QUOTIENT_ERROR = 2.0**-106
+PRODUCT_ERROR = 7 * 2.0**-106
+# Veltkamp's constant 2^27 + 1 splits a double into two 26-bit halves
+_SPLITTER = 134217729.0
 
 
 def _balanced_product(factors: list[int]) -> int:
@@ -35,11 +59,87 @@ def _balanced_product(factors: list[int]) -> int:
     return factors[0]
 
 
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly: TwoProduct with
+    Veltkamp splitting (T. J. Dekker, Numer. Math. 18, 1971), as numpy has
+    no fused multiply-add."""
+    p = a * b
+    ca, cb = _SPLITTER * a, _SPLITTER * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _double_word_quotients(
+    num: np.ndarray, den: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """num/den for integer-valued doubles below 2^53 as normalised double
+    words (hi, lo), within QUOTIENT_ERROR: hi = fl(num/den), and the
+    remainder num - hi*den, exact by TwoProduct, divided by den."""
+    hi = num / den
+    ph, pl = _two_product(hi, den)
+    lo = ((num - ph) - pl) / den
+    s = hi + lo  # Fast2Sum, as |hi| >= |lo|
+    return s, lo - (s - hi)
+
+
+def _double_word_product(hi: np.ndarray, lo: np.ndarray) -> tuple[float, float, int]:
+    """The product of the double words (hi[i], lo[i]) by a pairwise tree of
+    DWTimesDW1 multiplies, and the number of multiplies it took."""
+    products = 0
+    while hi.size > 1:
+        if hi.size % 2:
+            hi, lo = np.append(hi, 1.0), np.append(lo, 0.0)
+        xh, xl, yh, yl = hi[::2], lo[::2], hi[1::2], lo[1::2]
+        ch, cl1 = _two_product(xh, yh)
+        cl3 = cl1 + (xh * yl + xl * yh)
+        hi = ch + cl3  # Fast2Sum
+        lo = cl3 - (hi - ch)
+        products += hi.size
+    return float(hi[0]), float(lo[0]), products
+
+
+def _certified_double(hi: float, lo: float, radius: float) -> float | None:
+    """The double nearest to every real within radius of hi + lo, or None
+    when that interval reaches a midpoint between fl(hi + lo) and a
+    neighbour. Decided exactly, over the integers."""
+    c = hi + lo
+    values = (hi, lo, radius, math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))
+    ratios = [v.as_integer_ratio() for v in values]  # denominators are powers of 2
+    scale = max(d for _, d in ratios)
+    h, l, r, below, mid, above = (n * (scale // d) for n, d in ratios)
+    if below + mid < 2 * (h + l - r) and 2 * (h + l + r) < mid + above:
+        return c
+    return None
+
+
+def _product_of_quotients(num: np.ndarray, den: np.ndarray) -> float:
+    """prod num[i]/den[i] rounded to the nearest double, for positive
+    integers below 2^53. With n factors and m multiplies, the double-word
+    product is within the relative bound S = n QUOTIENT_ERROR + m
+    PRODUCT_ERROR of the exact value, so the exact value lies within
+    2 S (hi + lo) of it while S <= 1/4 (S is below 1e-20 for any array that
+    fits in memory); the radius 8 S |hi| also covers the rounding of S.
+    When that interval reaches a rounding boundary, the exact big-integer
+    ratio decides."""
+    if num.size == 0:
+        return 1.0
+    hi, lo, products = _double_word_product(
+        *_double_word_quotients(num.astype(np.float64), den.astype(np.float64))
+    )
+    bound = num.size * QUOTIENT_ERROR + products * PRODUCT_ERROR
+    value = _certified_double(hi, lo, 8 * bound * abs(hi))
+    if value is None:
+        return _balanced_product(num.tolist()) / _balanced_product(den.tolist())
+    return value
+
+
 def _check_prime_range(z: float, prime_budget: int) -> None:
     if z < 2:
         raise ValueError("z must be >= 2")
     if z > prime_budget:
         raise BudgetExceeded(f"prime enumeration to {z} exceeds budget {prime_budget}")
+    check_table_limit(math.ceil(z) - 1)
 
 
 def v_product(
@@ -49,36 +149,39 @@ def v_product(
     prime_budget: int = DEFAULT_PRIME_BUDGET,
     table: PrimeRootTable | None = None,
 ) -> float:
-    """V(z) = prod_{p < z} (1 - rho(p)/p), exact rational until the final
-    rounding. Equals 1 for z = 2 (empty product). Reads rho(p) from table
-    when it is f's, solving only the primes it lacks below z, and builds its
-    own table otherwise."""
+    """V(z) = prod_{p < z} (1 - rho(p)/p), rounded to the nearest double.
+    Equals 1 for z = 2 (empty product). rho(p) is read from table where it
+    is f's, and above its limit is 1 + (delta/p) by Euler's criterion (p = 2
+    and p | a solved directly); no roots are solved."""
     _check_prime_range(z, prime_budget)
     limit = math.ceil(z) - 1  # the largest integer below z
-    if table is None or table.f != f:
-        table = prime_root_table(f, limit)
-    table = table.extended_to(limit)
-    rho = (table.roots >= 0).sum(axis=1)
-    keep = (table.primes < z) & (rho > 0)
-    primes, rho = table.primes[keep], rho[keep]
+    primes = rho = np.empty(0, dtype=np.int64)
+    own = table is not None and table.f == f
+    if own:
+        primes = table.primes[: np.searchsorted(table.primes, z)]
+        rho = (table.roots[: primes.size] >= 0).sum(axis=1)
+    if not own or table.limit < limit:
+        more = np.array(primes_upto(limit)[primes.size :], dtype=np.int64)
+        primes, rho = np.concatenate((primes, more)), np.concatenate((rho, prime_rho(f, more)))
+    keep = rho > 0
+    primes, rho = primes[keep], rho[keep]
     if (rho == primes).any():
         return 0.0
-    return _balanced_product((primes - rho).tolist()) / _balanced_product(primes.tolist())
+    return _product_of_quotients(primes - rho, primes)
 
 
 def w_product(
     delta: int, u: float, *, prime_budget: int = DEFAULT_PRIME_BUDGET
 ) -> float:
-    """W(u) = prod_{p < u} (1 - 1/p)(1 - chi_Delta(p)/p), exact rational until
-    the final rounding."""
+    """W(u) = prod_{p < u} (1 - 1/p)(1 - chi_Delta(p)/p), rounded to the
+    nearest double as V is; chi_Delta(p) by Euler's criterion for odd p."""
     _check_prime_range(u, prime_budget)
-    nums: list[int] = []
-    dens: list[int] = []
-    for p in primes_upto(math.ceil(u) - 1):
-        chi_p = kronecker(delta, p)
-        nums.append((p - 1) * (p - chi_p))
-        dens.append(p * p)
-    return _balanced_product(nums) / _balanced_product(dens)
+    primes = np.array(primes_upto(math.ceil(u) - 1), dtype=np.int64)
+    chi = legendre(delta, primes)
+    chi[:1] = kronecker(delta, 2)
+    return _product_of_quotients(
+        np.concatenate((primes - 1, primes - chi)), np.concatenate((primes, primes))
+    )
 
 
 def delta_sum(

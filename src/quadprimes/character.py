@@ -27,14 +27,15 @@ import numpy as np
 
 from .errors import (
     DegenerateA,
+    FactorizationOverflow,
     NotADiscriminant,
     NotFundamental,
     RangeExceeded,
     ToleranceUnreachable,
     UndefinedSymbol,
 )
-from .polynomial import AdmissiblePolynomial, _mod_each, _pow_mod
-from .primes import factorize, primes_upto
+from .polynomial import AdmissiblePolynomial, legendre
+from .primes import TRIAL_DIVISION_LIMIT, factorize, is_prime, primes_upto, trial_division
 
 # the most series terms l_one builds; 9e6 terms peak at about 90 MB
 DEFAULT_CUTOFF_CAP = 10**7
@@ -116,11 +117,22 @@ def lambda_(delta: int, n: int) -> int:
 
 
 def _fundamental_part(delta: int) -> tuple[int, list[int]]:
-    """(D, the primes dividing m) with delta = D*m^2 and D fundamental."""
-    odd = [p for p, e in factorize(abs(delta)) if e % 2]
-    core = math.prod(odd, start=-1 if delta < 0 else 1)
+    """(D, the primes dividing m) with delta = D*m^2 and D fundamental.
+
+    Trial division leaves a cofactor with no prime factor up to
+    TRIAL_DIVISION_LIMIT, so below TRIAL_DIVISION_LIMIT^3 it is p, p^2 or
+    p*q: a square exactly when it is p^2, squarefree otherwise. A composite
+    cofactor at or above that raises FactorizationOverflow."""
+    factors, rem = trial_division(abs(delta))
+    if rem >= TRIAL_DIVISION_LIMIT**3 and not is_prime(rem):
+        raise FactorizationOverflow(f"composite cofactor {rem} exceeds trial division range")
+    if rem > 1:
+        root = isqrt(rem)
+        factors.append((root, 2) if root * root == rem else (rem, 1))  # (p*q, 1) is squarefree
+    core = math.prod((p for p, e in factors if e % 2), start=-1 if delta < 0 else 1)
     d = core if core % 4 == 1 else 4 * core
-    return d, [p for p, _ in factorize(isqrt(delta // d))]
+    m = isqrt(delta // d)
+    return d, [p for p, _ in factors if m % p == 0]
 
 
 def _tail_bound(d: int, m_terms: int) -> float:
@@ -141,8 +153,7 @@ def _chi_upto(d: int, limit: int) -> np.ndarray:
     """chi_d(n) for 0 <= n <= limit as int8: on primes by Euler's criterion
     (p = 2 from d mod 8), then on every n by complete multiplicativity."""
     primes = np.array(primes_upto(limit), dtype=np.int64)
-    euler = _pow_mod(_mod_each(d, primes), (primes - 1) // 2, primes)  # 0, 1 or p - 1
-    chi_p = np.where(euler > 1, -1, euler).astype(np.int8)
+    chi_p = legendre(d, primes).astype(np.int8)
     chi_p[:1] = kronecker(d, 2)
     chi = np.ones(limit + 1, dtype=np.int8)
     chi[0] = 0

@@ -230,42 +230,50 @@ class PrimeRootTable:
     primes: np.ndarray
     roots: np.ndarray
 
-    def extended_to(self, limit: int) -> PrimeRootTable:
-        """This table if it reaches limit, else a copy with the primes in
-        (self.limit, limit] solved and appended; nothing is solved twice."""
-        if limit <= self.limit:
-            return self
-        if limit > MAX_TABLE_PRIME:
-            raise BudgetExceeded(
-                f"root table to {limit} exceeds the int64-safe bound {MAX_TABLE_PRIME}"
-            )
-        primes = np.array(primes_upto(limit)[self.primes.size :], dtype=np.int64)
-        return PrimeRootTable(
-            self.f,
-            limit,
-            np.concatenate((self.primes, primes)),
-            np.concatenate((self.roots, _root_rows(self.f, primes))),
+
+def check_table_limit(limit: int) -> None:
+    """Raise BudgetExceeded when primes up to limit would overflow the int64
+    products of the array solvers."""
+    if limit > MAX_TABLE_PRIME:
+        raise BudgetExceeded(
+            f"root table to {limit} exceeds the int64-safe bound {MAX_TABLE_PRIME}"
         )
 
 
 def prime_root_table(f: AdmissiblePolynomial, limit: int) -> PrimeRootTable:
-    """Roots of f modulo each prime up to limit, solved once for both the
-    sieve and V. The primes come from a sieve, so none is tested again.
-    Raises BudgetExceeded for limit > MAX_TABLE_PRIME before allocating."""
-    empty = np.empty(0, dtype=np.int64)
-    return PrimeRootTable(f, min(limit, 1), empty, empty.reshape(0, 2)).extended_to(limit)
+    """Roots of f modulo each prime up to limit, solved once per polynomial.
+    The primes come from a sieve, so none is tested again. Raises
+    BudgetExceeded for limit > MAX_TABLE_PRIME before allocating."""
+    check_table_limit(limit)
+    primes = np.array(primes_upto(limit), dtype=np.int64)
+    return PrimeRootTable(f, limit, primes, _root_rows(f, primes))
+
+
+def _scalar_primes(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
+    """Mask of the primes the array solvers leave out: 2 and those dividing a."""
+    return (primes == 2) | (_mod_each(f.a, primes) == 0)
 
 
 def _root_rows(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
     """The (len(primes), 2) root rows: p = 2 and p | a one at a time, every
     other prime at once over arrays."""
     rows = np.full((primes.size, 2), -1, dtype=np.int64)
-    scalar = (primes == 2) | (_mod_each(f.a, primes) == 0)
+    scalar = _scalar_primes(f, primes)
     for i in np.flatnonzero(scalar).tolist():
         roots = _roots_mod_known_prime(f, int(primes[i]))
         rows[i, : len(roots)] = roots
     rows[~scalar] = _odd_root_rows(f, primes[~scalar])
     return rows
+
+
+def prime_rho(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
+    """rho(p), the number of roots of f mod p, for each prime p <= MAX_TABLE_PRIME
+    without solving for the roots: 1 + (delta/p) by Euler's criterion for odd
+    p not dividing a, p = 2 and p | a one at a time as in _root_rows."""
+    rho = 1 + legendre(f.delta, primes)
+    for i in np.flatnonzero(_scalar_primes(f, primes)).tolist():
+        rho[i] = len(_roots_mod_known_prime(f, int(primes[i])))
+    return rho
 
 
 def _mod_each(x: int, p: np.ndarray) -> np.ndarray:
@@ -288,6 +296,18 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
         base = base * base % p
         exp = exp >> 1
     return result
+
+
+def legendre(x: int, p: np.ndarray) -> np.ndarray:
+    """(x/p) in {-1, 0, 1} for each odd prime p <= MAX_TABLE_PRIME, by
+    Euler's criterion x^((p-1)/2) mod p (1 at p = 2). Any power other than
+    0, 1 or p - 1 shows that p is not prime and raises ConsistencyError."""
+    euler = _pow_mod(_mod_each(x, p), (p - 1) >> 1, p)
+    bad = (euler > 1) & (euler != p - 1)
+    if bad.any():
+        q = int(p[np.flatnonzero(bad)[0]])
+        raise ConsistencyError(f"Euler's criterion for {x} fails mod {q}: {q} is not prime")
+    return np.where(euler > 1, -1, euler)
 
 
 def _square_times(x: np.ndarray, times: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -62,13 +62,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as [(p, e), ...] with p increasing.
-
-    Trial division by primes up to TRIAL_DIVISION_LIMIT, then a deterministic
-    primality check on the cofactor; a composite cofactor out of trial range
-    raises FactorizationOverflow.
-    """
+def trial_division(n: int) -> tuple[list[tuple[int, int]], int]:
+    """([(p, e), ...], cofactor) for n >= 1: the prime powers p^e of n with p
+    up to TRIAL_DIVISION_LIMIT, p increasing, and the cofactor left. A
+    cofactor > 1 is prime when it is at most TRIAL_DIVISION_LIMIT^2, and
+    otherwise has no prime factor up to TRIAL_DIVISION_LIMIT."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: list[tuple[int, int]] = []
@@ -83,6 +81,17 @@ def factorize(n: int) -> list[tuple[int, int]]:
                     rem //= p
                     e += 1
                 out.append((p, e))
+    return out, rem
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as [(p, e), ...] with p increasing.
+
+    Trial division by primes up to TRIAL_DIVISION_LIMIT, then a deterministic
+    primality check on the cofactor; a composite cofactor out of trial range
+    raises FactorizationOverflow.
+    """
+    out, rem = trial_division(n)
     if rem > 1:
         if rem <= TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or is_prime(rem):
             out.append((rem, 1))

@@ -159,7 +159,7 @@ def sieve_pi(
         return SieveResult(0, 0, n_value, key_cap, 0, 0, 0, 0, {}, domain)
     vmax = _max_value(f, domain)
     strike_limit = isqrt(vmax)
-    # the main term extends this same table to |A| when it needs V(|A|)
+    # V(|A|) reads rho from this same table, and above it from Euler's criterion
     table = prime_root_table(f, strike_limit)
     keep = table.roots[:, 0] >= 0
     pairs = zip(table.primes[keep].tolist(), table.roots[keep].tolist())

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quadprimes import analytic
 from quadprimes.analytic import (
+    _certified_double,
     buchstab,
     delta_sum,
     main_term_report,
@@ -13,8 +15,9 @@ from quadprimes.analytic import (
     w_product,
 )
 from quadprimes.character import kronecker
-from quadprimes.errors import BudgetExceeded
+from quadprimes.errors import BudgetExceeded, ConsistencyError
 from quadprimes.polynomial import prime_root_table, roots_mod_prime, validate
+from quadprimes.primes import primes_upto
 from quadprimes.sieve import sieve_pi
 
 from oracles import SMALL_PRIMES, rand_admissible
@@ -43,8 +46,7 @@ def test_v_product_matches_fraction_reference():
         f = validate(*rand_admissible(rng, 10))
         z = rng.uniform(2, 300)
         want = _fraction_v(f, z)
-        got = v_product(f, z)
-        assert got == pytest.approx(float(want), rel=1e-15), (f, z)
+        assert v_product(f, z) == float(want), (f, z)
 
 
 def test_v_product_budget():
@@ -64,12 +66,93 @@ def test_v_product_extends_a_short_table_bit_for_bit():
             for short in (0, 1, 2, 3, 100, 1000, 1999, 2998):
                 table = prime_root_table(f, short)
                 assert v_product(f, z, table=table) == want, (a, b, c, z, short)
-                longer = table.extended_to(2999)
-                assert longer.limit == 2999
-                assert np.array_equal(longer.primes, full.primes)
-                assert np.array_equal(longer.roots, full.roots)
             assert v_product(f, z, table=full) == want
             assert v_product(f, z, table=prime_root_table(validate(1, 0, 1), 5000)) == want
+
+
+def _exact_v(f, z):
+    primes = primes_upto(math.ceil(z) - 1)
+    rho = [len(roots_mod_prime(f, p).roots) for p in primes]
+    return float(Fraction(math.prod(p - r for p, r in zip(primes, rho)), math.prod(primes)))
+
+
+def _exact_w(delta, u):
+    primes = primes_upto(math.ceil(u) - 1)
+    return float(Fraction(math.prod((p - 1) * (p - kronecker(delta, p)) for p in primes),
+                          math.prod(p * p for p in primes)))
+
+
+V_CASES = (
+    ((1, 1, 41), (2, 17, 3000, 54321.5, 10**5)),
+    ((-3, 7, 11), (100.5, 10**5)),
+    ((-30, 397, -11), (999, 77777)),
+    ((3, 2**64 + 1, -(2**80) - 3), (5000, 10**5)),
+    ((-(2**63) - 5, 2**70 + 1, 2**66 + 3), (2**12 + 0.25, 60000)),
+)
+
+
+def test_v_product_equals_the_exact_fraction():
+    other = prime_root_table(validate(1, 0, 1), 10**5)
+    for coefficients, zs in V_CASES:
+        f = validate(*coefficients)
+        for z in zs:
+            want = _exact_v(f, z)
+            limit = math.ceil(z) - 1
+            for table in (None, prime_root_table(f, limit // 3), prime_root_table(f, limit),
+                          prime_root_table(f, 2 * limit), other):
+                assert v_product(f, z, table=table) == want, (coefficients, z)
+
+
+def test_certificate_refuses_a_midpoint_and_accepts_just_inside():
+    up, down = 2.0**-53, 2.0**-54  # midpoints from 1 to its neighbours, above and below
+    assert _certified_double(1.0, up, 0.0) is None
+    assert _certified_double(1.0, up - 2.0**-105, 2.0**-106) == 1.0
+    assert _certified_double(1.0, up - 2.0**-105, 2.0**-105) is None
+    assert _certified_double(1.0, -down, 0.0) is None
+    assert _certified_double(1.0, -down + 2.0**-106, 2.0**-107) == 1.0
+    assert _certified_double(1.0 + 2.0**-52, -up, 0.0) is None
+
+
+def test_double_word_product_is_within_its_bound():
+    rng = random.Random(31)
+    for size in (1, 2, 3, 1000, 9592):
+        den = np.array(rng.sample(range(2, 2**40), size), dtype=np.int64)
+        num = den - np.array([rng.randint(1, 2) for _ in range(size)], dtype=np.int64)
+        hi, lo, products = analytic._double_word_product(
+            *analytic._double_word_quotients(num.astype(float), den.astype(float))
+        )
+        exact = Fraction(math.prod(num.tolist()), math.prod(den.tolist()))
+        bound = size * analytic.QUOTIENT_ERROR + products * analytic.PRODUCT_ERROR
+        assert products >= size - 1
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= Fraction(bound) * exact
+
+
+def test_exact_fallback_gives_the_certified_values(monkeypatch):
+    cases = [(validate(*coefficients), z) for coefficients, zs in V_CASES for z in zs]
+    certified = [v_product(f, z) for f, z in cases]
+    certified_w = [w_product(delta, u) for delta in (-163, 5, 2**64 + 1) for u in (50, 5000.5)]
+    results = []
+
+    def refusing(*args):
+        results.append(_certified_double(*args))
+        return results[-1]
+
+    monkeypatch.setattr(analytic, "QUOTIENT_ERROR", 1.0)
+    monkeypatch.setattr(analytic, "PRODUCT_ERROR", 1.0)
+    monkeypatch.setattr(analytic, "_certified_double", refusing)
+    assert [v_product(f, z) for f, z in cases] == certified
+    assert [w_product(delta, u) for delta in (-163, 5, 2**64 + 1) for u in (50, 5000.5)] \
+        == certified_w
+    assert len(results) > len(cases) and not any(results)
+
+
+def test_euler_criterion_refuses_a_composite(monkeypatch):
+    f = validate(1, 1, 41)
+    monkeypatch.setattr(analytic, "primes_upto", lambda n: [2, 3, 5, 7, 11, 13, 15, 17, 19])
+    with pytest.raises(ConsistencyError):
+        v_product(f, 20)
+    with pytest.raises(ConsistencyError):
+        w_product(f.delta, 20)
 
 
 def test_w_product_matches_fraction_reference():
@@ -82,9 +165,11 @@ def test_w_product_matches_fraction_reference():
                 if p >= u:
                     break
                 want *= Fraction(p - 1, p) * Fraction(p - kronecker(delta, p), p)
-            assert w_product(delta, u) == pytest.approx(float(want), rel=1e-15)
-    assert w_product(-4, 10) == pytest.approx(0.5 * (8 / 9) * (16 / 25) * (48 / 49),
-                                              rel=1e-15)
+            assert w_product(delta, u) == float(want), (delta, u)
+    for delta, u in ((-163, 10**5), (2**64 + 1, 31337.5), (-4 * 10**12 - 3, 54321)):
+        assert w_product(delta, u) == _exact_w(delta, u), (delta, u)
+    assert w_product(-4, 10) == float(Fraction(1, 2) * Fraction(8, 9) * Fraction(16, 25)
+                                      * Fraction(48, 49))
 
 
 def test_delta_sum_matches_direct_sum():

@@ -5,6 +5,7 @@ import pytest
 
 from quadprimes.character import (
     _chi_upto,
+    _fundamental_part,
     class_number,
     is_discriminant,
     is_fundamental_discriminant,
@@ -16,6 +17,7 @@ from quadprimes.character import (
 )
 from quadprimes.errors import (
     DegenerateA,
+    FactorizationOverflow,
     NotADiscriminant,
     NotFundamental,
     RangeExceeded,
@@ -204,6 +206,21 @@ def test_l_one_matches_partial_sum_oracle():
         value, bound = l_one(delta, 1e-4)
         oracle, oracle_bound = partial_sum_l_value(delta, 1e-3)
         assert abs(value - oracle) <= bound + oracle_bound, delta
+
+
+def test_fundamental_part_of_cofactors_beyond_trial_division():
+    # 1000003, 1000033 and 1000037 are primes above the trial-division limit
+    semiprime = -1000003 * 1000033
+    assert _fundamental_part(semiprime) == (semiprime, [])
+    delta = -3 * 1000003**2
+    assert _fundamental_part(delta) == (-3, [1000003])
+    value, bound = l_one(delta, 1e-6)
+    base, base_bound = l_one(-3, 1e-6)
+    factor = 1 - kronecker(-3, 1000003) / 1000003
+    assert 0 < bound <= 1e-6
+    assert abs(value - base * factor) <= bound + base_bound * factor
+    with pytest.raises(FactorizationOverflow):
+        _fundamental_part(-1000003 * 1000033 * 1000037)
 
 
 def test_class_number_goldens():

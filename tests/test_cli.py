@@ -236,6 +236,15 @@ def test_lfun_command_with_oracle(capsys):
     assert abs(payload["l_one"] - payload["class_number_oracle"]) <= payload["error_bound"]
 
 
+def test_lfun_on_a_semiprime_beyond_trial_division(capsys):
+    # -1000003 * 1000033: both primes lie above the trial-division limit
+    code, out, err = run(capsys, "lfun", "--delta", "-1000036000099", "--tol", "1e-4",
+                         "--format", "records")
+    assert code == 0 and err == ""
+    payload = json.loads(out.strip())
+    assert 0 < payload["error_bound"] <= 1e-4
+
+
 def test_lfun_rejects_non_discriminant(capsys):
     code, _, err = run(capsys, "lfun", "--delta", "7")
     assert code == 2
