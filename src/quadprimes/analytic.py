@@ -188,19 +188,19 @@ def delta_sum(
     delta: int, x: float, a_count: int, *, prime_budget: int = DEFAULT_PRIME_BUDGET
 ) -> float:
     """delta(x) = sum_{x <= p <= A} lambda(p)/p with lambda(p) = 1 + chi_Delta(p),
-    compensated summation. Zero when x > A."""
+    summed exactly and rounded once by math.fsum; chi_Delta(p) by Euler's
+    criterion for odd p. Zero when x > A."""
     if x < 2:
         raise ValueError("x must be >= 2")
     if a_count < 1:
         raise ValueError("a_count must be >= 1")
     if a_count > prime_budget:
         raise BudgetExceeded(f"prime enumeration to {a_count} exceeds budget {prime_budget}")
-    terms = [
-        (1 + kronecker(delta, p)) / p
-        for p in primes_upto(a_count)
-        if p >= x
-    ]
-    return math.fsum(terms)
+    primes = np.array(primes_upto(a_count), dtype=np.int64)
+    chi = legendre(delta, primes)
+    chi[:1] = kronecker(delta, 2)
+    keep = primes >= x
+    return math.fsum(((1 + chi[keep]) / primes[keep]).tolist())
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,8 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
     settings = Settings(**values)
     if not 0 < settings.tol < math.inf:
         raise SpecParseError(f"tol must be positive and finite, got {settings.tol!r}")
+    if settings.segment_size < 1:
+        raise SpecParseError(f"segment_size must be >= 1, got {settings.segment_size}")
     return settings
 
 

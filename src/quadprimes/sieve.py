@@ -1,11 +1,16 @@
 """Least-prime-factor sieve over the values f(n) on the enumeration domain.
 
-Each span of consecutive n is one int64 array of values f(n). For each root
-r of f modulo a prime p <= sqrt(max f), read off the polynomial's root table
-in descending order of p, every position n = r (mod p) gets lpf = p, so the
-smallest prime factor is written last. A value nothing struck is 1 or a
-prime above the strike limit, and is its own lpf; a value above 1 is prime
-exactly when it equals its lpf.
+Each span of consecutive n is one int64 array of values f(n). Every root r
+of f modulo a prime p <= sqrt(max f), read off the polynomial's root table
+as flat (p, r) arrays, strikes the positions n = r (mod p) with lpf = p. A
+prime that hits the span at least SLICE_HITS times does so by one strided
+slice write, in descending order of p so that the smallest is written last.
+Every larger prime hits it only a few times, so those hits are gathered into
+batches of positions, and each batch is written by one np.minimum.at: the
+bucket sieve of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014).
+Every value gets the least prime that strikes it, whatever the order of the
+hits. A value nothing struck is 1 or a prime above the strike limit, and is
+its own lpf; a value above 1 is prime exactly when it equals its lpf.
 
 The least-prime-factor histogram keys every lpf up to isqrt(N) exactly and
 pools anything larger into a single bucket, which is all the resolution the
@@ -25,6 +30,7 @@ from .polynomial import (
     AdmissiblePolynomial,
     EnumerationDomain,
     PrimeRootTable,
+    _mod_each,
     enumeration_domain,
     prime_root_table,
     roots_mod,
@@ -37,6 +43,10 @@ DEFAULT_MAX_SIEVE_PRIME = 2 * 10**6
 DEFAULT_SEGMENT_SIZE = 1 << 20
 # values in [0, N] and the step 2a in [-2N, 2N] fit int64 up to this N
 MAX_SAFE_N = 10**18
+# a prime with at least this many hits in a span strikes by a slice write
+SLICE_HITS = 64
+# lpf of a value no prime has struck yet; above every value and prime
+UNSTRUCK = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -84,16 +94,43 @@ def _max_value(f: AdmissiblePolynomial, domain: EnumerationDomain) -> int:
     )
 
 
+def _strike_rows(table: PrimeRootTable) -> tuple[np.ndarray, np.ndarray]:
+    """The table flattened to one (p, r) pair per root, p ascending."""
+    struck = table.roots >= 0
+    return np.broadcast_to(table.primes[:, None], table.roots.shape)[struck], table.roots[struck]
+
+
+def _scatter_min(lpf: np.ndarray, p: np.ndarray, first: np.ndarray, hits: np.ndarray) -> None:
+    """lpf[first + k p] = min(lpf[...], p) for 0 <= k < hits, row by row.
+    The positions are a cumsum of steps: p within a row, and from the last
+    hit of one row to the first hit of the next between rows."""
+    primes = np.repeat(p, hits)
+    steps = primes.copy()
+    last = first + (hits - 1) * p
+    steps[np.cumsum(hits) - hits] = first - np.concatenate(([0], last[:-1]))
+    np.minimum.at(lpf, np.cumsum(steps), primes)
+
+
 def _segment_counts(
     f: AdmissiblePolynomial,
     lo: int,
     hi: int,
-    strikes: list[tuple[int, tuple[int, ...]]],
+    strikes: tuple[np.ndarray, np.ndarray] | list[tuple[int, tuple[int, ...]]],
     key_cap: int,
 ) -> tuple[int, int, int, int, dict[int, int]]:
     """(pi, units, zeros, large, lpf histogram) over n in [lo, hi], whose
-    values must lie in [0, MAX_SAFE_N]. strikes lists (p, roots of f mod p)
-    for every prime p <= sqrt(max f) that has a root, p increasing."""
+    values must lie in [0, MAX_SAFE_N]. strikes holds, for every prime
+    p <= sqrt(max f) that has a root, each root r of f mod p: as int64 arrays
+    (p, r) with p ascending, or as a list of (p, roots) pairs.
+
+    A prime with at least SLICE_HITS hits in the span strikes by a slice
+    write, smallest last. The others strike in batches of fewer than
+    2 * length hit positions, each scattered with np.minimum.at, so every
+    value gets its least prime whatever the order of the hits. Beside the
+    span's arrays, only per-row arrays the size of strikes are allocated."""
+    if isinstance(strikes, list):
+        strikes = np.array([(p, r) for p, rs in strikes for r in rs], np.int64).reshape(-1, 2).T
+    p, r = strikes
     length = hi - lo + 1
     # f(lo), f(lo+1) - f(lo), then the second difference 2a (bounded by the
     # values once there are three): every partial sum of the differences,
@@ -104,11 +141,22 @@ def _segment_counts(
         values[1] = f(lo + 1) - f(lo)
         np.cumsum(values[1:], out=values[1:])
     np.cumsum(values, out=values)
-    lpf = np.zeros(length, dtype=np.int64)
-    for p, residues in reversed(strikes):
-        for r in residues:
-            lpf[(r - lo) % p :: p] = p
-    np.copyto(lpf, values, where=lpf == 0)
+
+    lpf = np.full(length, UNSTRUCK, dtype=np.int64)
+    first = (r - _mod_each(lo, p)) % p
+    split = int(np.searchsorted(p, length // SLICE_HITS, side="right"))
+    hits = (length - 1 - first[split:]) // p[split:] + 1
+    rows = split + np.flatnonzero(hits)
+    hits = hits[hits > 0]
+    # cut after the last row whose running hit count is within each multiple
+    # of length: a row has at most length hits, so no batch is empty and
+    # none holds 2 * length positions
+    cuts = np.searchsorted(np.cumsum(hits), np.arange(length, hits.sum(), length), side="right")
+    for batch, counts in zip(np.split(rows, cuts), np.split(hits, cuts)):
+        _scatter_min(lpf, p[batch], first[batch], counts)
+    for q, start in zip(p[:split][::-1].tolist(), first[:split][::-1].tolist()):
+        lpf[start::q] = q
+    np.copyto(lpf, values, where=lpf == UNSTRUCK)
     zeros = int(np.count_nonzero(values == 0))
     units = int(np.count_nonzero(values == 1))
     above_one = values > 1
@@ -161,9 +209,7 @@ def sieve_pi(
     strike_limit = isqrt(vmax)
     # V(|A|) reads rho from this same table, and above it from Euler's criterion
     table = prime_root_table(f, strike_limit)
-    keep = table.roots[:, 0] >= 0
-    pairs = zip(table.primes[keep].tolist(), table.roots[keep].tolist())
-    strikes = [(p, (r, s) if s >= 0 else (r,)) for p, (r, s) in pairs]
+    strikes = _strike_rows(table)
 
     seg = max(budget.segment_size, 16)
     parts = [

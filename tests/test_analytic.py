@@ -187,6 +187,18 @@ def test_delta_sum_matches_direct_sum():
     assert delta_sum(-4, 100, 50) == 0.0  # empty range
 
 
+def test_delta_sum_equals_the_per_prime_kronecker_sum():
+    # residues 0..7 mod 8 (chi(2) from kronecker), an even fundamental Delta,
+    # p | Delta for a non-fundamental one, |Delta| > 2^63, non-integer x
+    deltas = (-8, 17, -6, 3, -4, -3, 6, 7, 12, -163 * 25, -(2**66 + 3), 2**70 + 1)
+    primes = primes_upto(10**5)
+    for delta in deltas:
+        for x in (2, 2.5, 3, 7.5, 1000.5, 99991):
+            want = math.fsum([(1 + kronecker(delta, p)) / p for p in primes if p >= x])
+            assert delta_sum(delta, x, 10**5) == want, (delta, x)
+    assert delta_sum(-3, 2, 1) == delta_sum(-3, 10**5 + 0.5, 10**5) == 0.0
+
+
 def test_v_product_non_increasing_in_z():
     rng = random.Random(24)
     for _ in range(10):

@@ -219,6 +219,25 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert err.startswith("error: SpecParseError: ") and err.count("\n") == 1
 
 
+def test_segment_size_below_one_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("QUADPRIMES_SEGMENT_SIZE", raising=False)
+    monkeypatch.delenv("QUADPRIMES_CONFIG", raising=False)
+    poly = ["analyze", "-a", "1", "-b", "1", "-c", "41", "-N", "1000", "--no-record"]
+    cfg = tmp_path / "seg.cfg"
+    cfg.write_text("segment_size = 0\n")
+    for extra in (["--budget-segment-size", "0"], ["--budget-segment-size", "-5"],
+                  ["--config", str(cfg)]):
+        code, out, err = run(capsys, *poly, *extra)
+        assert (code, out) == (2, ""), extra
+        assert err.startswith("error: SpecParseError: segment_size") and err.count("\n") == 1
+    monkeypatch.setenv("QUADPRIMES_SEGMENT_SIZE", "-5")
+    code, out, err = run(capsys, *poly)
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "Traceback" not in err
+    # one value per span is the least the setting accepts; it sieves as 16
+    monkeypatch.delenv("QUADPRIMES_SEGMENT_SIZE")
+    assert run(capsys, *poly, "--budget-segment-size", "1") == run(capsys, *poly)
+
+
 def test_buchstab_bad_z_exits_2(capsys):
     code, _, err = run(capsys, "buchstab", "-a", "1", "-b", "0", "-c", "1",
                        "-N", "100", "--z", "50")

@@ -3,15 +3,20 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
+from math import isqrt
 
 import pytest
 
 import quadprimes
+from quadprimes import sieve
 from quadprimes.analytic import main_term_report
 from quadprimes.errors import BudgetExceeded, NotPrime, ResolutionExceeded
-from quadprimes.polynomial import enumeration_domain, validate
+from quadprimes.polynomial import enumeration_domain, prime_root_table, validate
 from quadprimes.sieve import (
     SieveBudget,
+    _segment_counts,
+    _strike_rows,
     a_d_count,
     s_count,
     s_p_count,
@@ -110,6 +115,68 @@ def test_sieve_invariant_under_segmentation_and_threads():
     for seg in (64, 1 << 10, 1 << 14):
         alt = sieve_pi(f, 10**6, SieveBudget(segment_size=seg))
         assert alt == base
+
+
+def test_sieve_invariant_under_segmentation_at_scale():
+    # the span sizes move primes between the slice writes and the scatter
+    for coeffs in ((1, 1, 41), (3, 5, -7)):
+        f = validate(*coeffs)
+        base = sieve_pi(f, 10**9, SieveBudget(segment_size=1 << 20))
+        if coeffs[0] == 3:
+            assert len(base.domain.intervals) == 2
+        for seg in (1 << 8, 1 << 12, 1 << 16):
+            assert sieve_pi(f, 10**9, SieveBudget(segment_size=seg)) == base, (coeffs, seg)
+
+
+def _slice_loop_counts(f, lo, hi, strikes, key_cap):
+    """The per-prime reference: every root of every prime strikes by a slice
+    write, largest prime first, so the least prime is written last."""
+    length = hi - lo + 1
+    values = [f(n) for n in range(lo, hi + 1)]
+    lpf = [0] * length
+    for p, roots in reversed(strikes):
+        for r in roots:
+            lpf[(r - lo) % p :: p] = [p] * len(range((r - lo) % p, length, p))
+    lpf = [q or v for q, v in zip(lpf, values)]
+    above_one = [(q, v) for q, v in zip(lpf, values) if v > 1]
+    hist = Counter(q for q, _ in above_one if q <= key_cap)
+    return (sum(q == v for q, v in above_one), values.count(1), values.count(0),
+            sum(q > key_cap for q, _ in above_one), dict(hist))
+
+
+def test_segment_counts_match_the_slice_loop(monkeypatch):
+    batches = []
+    real_scatter = sieve._scatter_min
+
+    def recording_scatter(lpf, p, first, hits):
+        batches.append((lpf, int(hits.sum())))
+        real_scatter(lpf, p, first, hits)
+
+    monkeypatch.setattr(sieve, "_scatter_min", recording_scatter)
+    k = 2**70  # x^2 + x + 41 moved to n near 2^70: b and c exceed int64, and so does n
+    polys = [(1, 1, 41), (-3, 7, 11), (3, 5, -7), (1, 2 * k + 1, k * k + k + 41)]
+    for coeffs in polys:
+        f = validate(*coeffs)
+        domain = enumeration_domain(f, 10**7)
+        vmax = sieve._max_value(f, domain)
+        table = prime_root_table(f, isqrt(vmax))
+        arrays = _strike_rows(table)
+        pairs = [(p, tuple(r for r in row if r >= 0))
+                 for p, row in zip(table.primes.tolist(), table.roots.tolist()) if row[0] >= 0]
+        for lo, hi in domain.intervals:
+            mid = (lo + hi) // 2
+            spans = [(lo, lo), (hi, hi), (lo, lo + 15), (hi - 15, hi), (lo + 7, lo + 1006),
+                     (max(lo, mid - 5000), min(hi, mid + 5000)), (lo, min(hi, lo + 70000))]
+            for a, b in spans:
+                want = _slice_loop_counts(f, a, b, pairs, isqrt(10**7))
+                assert _segment_counts(f, a, b, arrays, isqrt(10**7)) == want, (coeffs, a, b)
+                assert _segment_counts(f, a, b, pairs, isqrt(10**7)) == want, (coeffs, a, b)
+    assert any(lo < 0 for coeffs in polys[:3]
+               for lo, _ in enumeration_domain(validate(*coeffs), 10**7).intervals)
+    # spans of one value and of 16, and spans cut into several batches
+    assert all(hits < 2 * lpf.size for lpf, hits in batches)
+    assert {1, 16} <= {lpf.size for lpf, _ in batches}
+    assert any(this[0] is last[0] for last, this in zip(batches, batches[1:]))
 
 
 def test_lpf_histogram_matches_bruteforce_on_both_domain_shapes():
