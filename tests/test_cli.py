@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -461,3 +462,65 @@ def test_readme_configuration_table_matches_settings():
             if line.startswith("|")]
     table = [(key.strip(), default.strip()) for key, default, _ in rows[2:]]
     assert table == [(f.name, str(f.default)) for f in fields(Settings)]
+
+
+def _readme_examples() -> list[tuple[str, str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in readme.split("```\n$ quadprimes ")[1:]:
+        command, _, rest = block.partition("\n")
+        examples.append((command, rest.split("```", 1)[0]))
+    return examples
+
+
+_EXAMPLES = _readme_examples()
+
+
+@pytest.fixture
+def default_settings(monkeypatch):
+    for name in [*os.environ]:
+        if name.startswith("QUADPRIMES_"):
+            monkeypatch.delenv(name)
+
+
+def test_readme_has_an_example_for_each_reporting_command():
+    assert [c.split()[0] for c, _ in _EXAMPLES] == ["analyze", "scan", "buchstab", "lfun"]
+
+
+@pytest.mark.parametrize("command, expected", _EXAMPLES, ids=[c.split()[0] for c, _ in _EXAMPLES])
+def test_readme_example_output_is_byte_exact(command, expected, capsys, default_settings):
+    assert run(capsys, *command.split()) == (0, expected, "")
+
+
+_PER_PRIME = ("[[11,0],[13,12],[17,6],[19,0],[23,0],[29,2],[31,0],[37,4],[41,2],[43,0],"
+              "[47,0],[53,2],[59,0],[61,0],[67,0],[71,0],[73,0],[79,0],[83,0],[89,0],"
+              "[97,0]]")
+_BUCHSTAB_LINE = ('{"schema":1,"a":1,"b":0,"c":1,"n_value":10000,"z":10.0,"s_a_z":59,'
+                  '"s_a_sqrt_n":31,"s1":0,"s2":28,"s3":0,"identity_residual":0,'
+                  '"include_sqrt_n":false')
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["analyze", "-a", "1", "-b", "1", "-c", "41", "-N", "100000", "--no-record"],
+     '{"schema":1,"a":1,"b":1,"c":41,"n_value":100000,"pi_f":442,"cardinality_a":632,'
+     '"v_of_a":0.5786211281789372,"main_term":365.6885530090883,'
+     '"relative_error":0.20867879610389434,"l_one":0.24606204044625174,'
+     '"l_one_bound":2.3946917683645543e-05,"beta":-0.2258427595191284,'
+     '"beta_bound":9.732538582796213e-05,"hypotheses_hold":false,'
+     '"version":"0.1.0","timestamp":"T"}'),
+    (["buchstab", "-a", "1", "-b", "0", "-c", "1", "-N", "10000", "--z", "10"],
+     _BUCHSTAB_LINE + "}"),
+    (["buchstab", "-a", "1", "-b", "0", "-c", "1", "-N", "10000", "--z", "10",
+      "--per-prime"],
+     _BUCHSTAB_LINE + ',"per_prime":' + _PER_PRIME + "}"),
+    (["lfun", "--delta", "-163"],
+     '{"schema":1,"delta":-163,"l_one":0.24606204044625174,'
+     '"error_bound":2.3946917683645543e-05,"class_number_oracle":0.24606852755296024}'),
+    (["lfun", "--delta", "1997"],
+     '{"schema":1,"delta":1997,"l_one":0.4082816336009897,'
+     '"error_bound":4.275159995796421e-05,"class_number_oracle":null}'),
+], ids=["analyze", "buchstab", "buchstab-per-prime", "lfun-oracle", "lfun-no-oracle"])
+def test_records_lines_are_byte_exact(argv, line, capsys, default_settings):
+    code, out, err = run(capsys, *argv, "--format", "records")
+    assert (code, err) == (0, "")
+    assert re.sub(r'"timestamp":"[^"]+"', '"timestamp":"T"', out) == line + "\n"
