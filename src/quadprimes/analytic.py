@@ -229,20 +229,6 @@ class BuchstabReport:
     include_sqrt_n: bool
 
 
-def _survivors_lpf_sq_at_least(result: SieveResult, n_value: int, strict: bool) -> int:
-    """#{n : lpf(f(n))^2 > N} (strict) or >= N, via exact integer predicates.
-
-    The pooled bucket holds lpf >= isqrt(N) + 1, whose square always exceeds
-    N, so the histogram resolves both variants exactly.
-    """
-    count = result.unit_count + result.large_prime_count
-    for q, c in result.lpf_histogram.items():
-        qq = q * q
-        if qq > n_value or (not strict and qq == n_value):
-            count += c
-    return count
-
-
 def buchstab(
     f: AdmissiblePolynomial,
     n_value: int,
@@ -260,15 +246,13 @@ def buchstab(
         raise ValueError("z must satisfy z^2 <= N")
     res = result if result is not None else sieve_pi(f, n_value, budget=budget)
     s_a_z = s_count(res, z)
-    s_sqrt = _survivors_lpf_sq_at_least(res, n_value, strict=include_sqrt_n)
+    # survivors have lpf > sqrt(N) when sqrt(N) is sifted, else lpf >= sqrt(N)
+    s_sqrt = s_count(res, isqrt(n_value if include_sqrt_n else n_value - 1) + 1)
 
     hist = res.lpf_histogram
     per_prime = []
     for p in primes_upto(isqrt(n_value)):
-        if p < z:
-            continue
-        pp = p * p
-        if pp > n_value or (not include_sqrt_n and pp == n_value):
+        if p < z or (not include_sqrt_n and p * p == n_value):
             continue
         per_prime.append((p, hist.get(p, 0)))
 

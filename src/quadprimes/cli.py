@@ -16,7 +16,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from math import gcd, isqrt
 
 from . import __version__, character, sieve
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .polynomial import enumeration_domain, rho, roots_mod_prime, validate
 from .primes import is_prime, primes_upto
-from .records import RunRecord, append_record, json_line, to_json_line, utc_timestamp
+from .records import RunRecord, append_record, json_line, utc_timestamp
 from .sieve import SieveBudget, a_d_count, sieve_pi
 
 ENV_PREFIX = "QUADPRIMES_"
@@ -84,11 +84,14 @@ def _parse_int(text: str) -> int:
         return int(t, 10)
     except ValueError:
         pass
+    import decimal  # read exactly, not through a float; loaded only for such text
+
     try:
-        v = float(t)
-    except ValueError:
+        v = decimal.Decimal(t)
+    except decimal.DecimalException:
         raise SpecParseError(f"not an integer: {text!r}") from None
-    if not v.is_integer():
+    # the magnitude check comes first, so that 1e999999999 builds no integer
+    if not (v.is_finite() and v.copy_abs() <= sys.float_info.max and v == v.to_integral_value()):
         raise SpecParseError(f"not an integer: {text!r}")
     return int(v)
 
@@ -228,19 +231,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(settings: Settings, rows: list[tuple[str, object]], payload: dict) -> None:
-    """Print one result as a records line or as a table of rows."""
+# One value of a command's result: (table label, records key, value). A row
+# without a label is left out of the table, and one without a key out of the
+# records line; each side keeps the order of the list.
+Row = tuple[str | None, str | None, object]
+
+
+def _keyed(rows: list[Row]) -> dict:
+    return {key: value for _, key, value in rows if key is not None}
+
+
+def _emit(settings: Settings, rows: list[Row]) -> None:
+    """Print one result as a records line or as a table."""
     if settings.format == "records":
-        print(json_line(payload))
+        print(json_line(_keyed(rows)))
         return
-    width = max(len(label) for label, _ in rows) + 2
-    for label, value in rows:
+    table = [(label, value) for label, _, value in rows if label is not None]
+    width = max(len(label) for label, _ in table) + 2
+    for label, value in table:
         print(f"{label:<{width}}{_fmt(value)}")
+
+
+def _poly_rows(f) -> list[Row]:
+    return [(None, "a", f.a), (None, "b", f.b), (None, "c", f.c), ("polynomial", None, str(f))]
 
 
 def _analyze_one(
     f, n_value: int, settings: Settings, l_values: dict | None = None
-) -> tuple[RunRecord, list[tuple[str, object]]]:
+) -> tuple[RunRecord, list[Row]]:
     budget = settings.budget()
     domain = sieve.checked_domain(f, n_value, budget)
     main_term_needs_v(domain.cardinality_a, DEFAULT_PRIME_BUDGET)  # fails before the sieve
@@ -256,45 +274,36 @@ def _analyze_one(
     report = main_term_report(
         f, n_value, result, met.beta if met else None
     )
-    record = RunRecord(
-        a=f.a,
-        b=f.b,
-        c=f.c,
-        n_value=n_value,
-        pi_f=result.pi_f,
-        cardinality_a=result.cardinality_a,
-        v_of_a=report.v_of_a,
-        main_term=report.main_term,
-        relative_error=report.relative_error,
-        l_one=l_value,
-        l_one_bound=l_bound,
-        beta=met.beta if met else None,
-        beta_bound=met.beta_radius if met else None,
-        hypotheses_hold=met.hypotheses_hold if met else None,
-        version=__version__,
-        timestamp=utc_timestamp(),
-    )
     domain_text = " union ".join(f"[{lo}, {hi}]" for lo, hi in result.domain.intervals)
-    rows: list[tuple[str, object]] = [
-        ("polynomial", str(f)),
-        ("delta", f.delta),
-        ("N", n_value),
-        ("domain", domain_text or "(empty)"),
-        ("|A|", result.cardinality_a),
-        ("pi_f", result.pi_f),
-        ("L(1,chi)", l_value),
-        ("L bound", l_bound),
-        ("beta", met.beta if met else None),
-        ("beta radius", met.beta_radius if met else None),
-        ("B", met.b_cap if met else None),
-        ("g(Delta)", met.g_delta if met else None),
-        ("hypotheses", "hold" if met and met.hypotheses_hold else "fail" if met else None),
-        ("V(|A|)", report.v_of_a),
-        ("main term", report.main_term),
-        ("relative error", report.relative_error),
-        ("theorem bound", report.theorem_bound),
+    # in RunRecord's field order; |A|, V, the main term and the relative error
+    # stand where the table puts them and again where the record does
+    rows: list[Row] = [
+        *_poly_rows(f),
+        ("delta", None, f.delta),
+        ("N", "n_value", n_value),
+        ("domain", None, domain_text or "(empty)"),
+        ("|A|", None, result.cardinality_a),
+        ("pi_f", "pi_f", result.pi_f),
+        (None, "cardinality_a", result.cardinality_a),
+        (None, "v_of_a", report.v_of_a),
+        (None, "main_term", report.main_term),
+        (None, "relative_error", report.relative_error),
+        ("L(1,chi)", "l_one", l_value),
+        ("L bound", "l_one_bound", l_bound),
+        ("beta", "beta", met.beta if met else None),
+        ("beta radius", "beta_bound", met.beta_radius if met else None),
+        ("B", None, met.b_cap if met else None),
+        ("g(Delta)", None, met.g_delta if met else None),
+        ("hypotheses", None, "hold" if met and met.hypotheses_hold else "fail" if met else None),
+        (None, "hypotheses_hold", met.hypotheses_hold if met else None),
+        ("V(|A|)", None, report.v_of_a),
+        ("main term", None, report.main_term),
+        ("relative error", None, report.relative_error),
+        ("theorem bound", None, report.theorem_bound),
+        (None, "version", __version__),
+        (None, "timestamp", utc_timestamp()),
     ]
-    return record, rows
+    return RunRecord(**_keyed(rows)), rows
 
 
 def _require_positive_n(n_value: int) -> None:
@@ -308,8 +317,13 @@ def cmd_analyze(args: argparse.Namespace, settings: Settings) -> int:
     record, rows = _analyze_one(f, args.N, settings)
     if not args.no_record:
         append_record(settings.records, record)
-    _emit(settings, rows, asdict(record))
+    _emit(settings, rows)
     return 0
+
+
+# the columns of a scan row: a, b, c, delta, |A|, pi_f, main term, relative
+# error, then the status after two spaces
+_SCAN_ROW = "{:>6} {:>6} {:>6} {:>12} {:>8} {:>8} {:>14} {:>11}  {}"
 
 
 def _parse_range(text: str) -> range:
@@ -340,32 +354,28 @@ def cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
     b_vals = _coef_values(args, "b")
     c_vals = _coef_values(args, "c")
     n_value = args.N
-    header = f"{'a':>6} {'b':>6} {'c':>6} {'delta':>12} {'|A|':>8} {'pi_f':>8} " \
-             f"{'main':>14} {'rel_err':>11}  status"
     if settings.format == "table":
-        print(header)
+        print(_SCAN_ROW.format("a", "b", "c", "delta", "|A|", "pi_f", "main", "rel_err", "status"))
     exit_code = 0
     l_values: dict[int, tuple[float, float]] = {}
     for a in a_vals:
         for b in b_vals:
             for c in c_vals:
-                prefix = f"{a:>6} {b:>6} {c:>6}"
                 try:
                     f = validate(a, b, c)
                 except ValidationError as exc:
                     if settings.format == "table":
-                        print(f"{prefix} {'-':>12} {'-':>8} {'-':>8} "
-                              f"{'-':>14} {'-':>11}  skip:{type(exc).__name__}")
+                        print(_SCAN_ROW.format(a, b, c, *["-"] * 5, f"skip:{type(exc).__name__}"))
                     else:
                         print(f"skip a={a} b={b} c={c} {type(exc).__name__}", file=sys.stderr)
                     continue
                 try:
-                    record, _ = _analyze_one(f, n_value, settings, l_values)
+                    record, rows = _analyze_one(f, n_value, settings, l_values)
                 except QuadprimesError as exc:
                     exit_code = max(exit_code, exc.exit_code)
                     if settings.format == "table":
-                        print(f"{prefix} {f.delta:>12} {'-':>8} {'-':>8} "
-                              f"{'-':>14} {'-':>11}  error:{type(exc).__name__}")
+                        print(_SCAN_ROW.format(a, b, c, f.delta, *["-"] * 4,
+                                               f"error:{type(exc).__name__}"))
                     else:
                         print(f"error a={a} b={b} c={c} {type(exc).__name__}: {exc}",
                               file=sys.stderr)
@@ -373,12 +383,13 @@ def cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
                 if not args.no_record:
                     append_record(settings.records, record)
                 if settings.format == "records":
-                    print(to_json_line(record))
+                    _emit(settings, rows)
                 else:
                     rel = record.relative_error
-                    print(f"{prefix} {f.delta:>12} {record.cardinality_a:>8} "
-                          f"{record.pi_f:>8} {record.main_term:>14.6g} "
-                          f"{(f'{rel:+.3e}' if rel is not None else '-'):>11}  ok")
+                    print(_SCAN_ROW.format(
+                        a, b, c, f.delta, record.cardinality_a, record.pi_f,
+                        f"{record.main_term:.6g}", "-" if rel is None else f"{rel:+.3e}", "ok",
+                    ))
                 sys.stdout.flush()
     return exit_code
 
@@ -393,30 +404,22 @@ def cmd_buchstab(args: argparse.Namespace, settings: Settings) -> int:
         include_sqrt_n=args.include_sqrt_n,
         budget=settings.budget(),
     )
-    rows = [
-        ("polynomial", str(f)),
-        ("N", args.N),
-        ("z", report.z),
-        ("|A|", report.a_count),
-        ("S(A, z)", report.s_a_z),
-        ("S(A, sqrt N)", report.s_a_sqrt_n),
-        ("s1 (p <= A/z^2)", report.s1),
-        ("s2 (A/z^2 < p <= A)", report.s2),
-        ("s3 (p > A)", report.s3),
-        ("residual", report.identity_residual),
+    rows: list[Row] = [
+        *_poly_rows(f),
+        ("N", "n_value", args.N),
+        ("z", "z", report.z),
+        ("|A|", None, report.a_count),
+        ("S(A, z)", "s_a_z", report.s_a_z),
+        ("S(A, sqrt N)", "s_a_sqrt_n", report.s_a_sqrt_n),
+        ("s1 (p <= A/z^2)", "s1", report.s1),
+        ("s2 (A/z^2 < p <= A)", "s2", report.s2),
+        ("s3 (p > A)", "s3", report.s3),
+        ("residual", "identity_residual", report.identity_residual),
+        (None, "include_sqrt_n", report.include_sqrt_n),
     ]
-    payload = {
-        "a": f.a, "b": f.b, "c": f.c, "n_value": args.N,
-        "z": report.z,
-        "s_a_z": report.s_a_z,
-        "s_a_sqrt_n": report.s_a_sqrt_n,
-        "s1": report.s1, "s2": report.s2, "s3": report.s3,
-        "identity_residual": report.identity_residual,
-        "include_sqrt_n": report.include_sqrt_n,
-    }
     if args.per_prime:
-        payload["per_prime"] = report.per_prime
-    _emit(settings, rows, payload)
+        rows.append((None, "per_prime", report.per_prime))
+    _emit(settings, rows)
     if args.per_prime and settings.format == "table":
         for p, count in report.per_prime:
             print(f"  S(A_{p}, {p}) = {count}")
@@ -431,17 +434,16 @@ def cmd_lfun(args: argparse.Namespace, settings: Settings) -> int:
     oracle = None
     if -(10**6) < args.delta < 0 and is_fundamental_discriminant(args.delta):
         oracle = l_one_class_number_oracle(args.delta)
-    rows = [("delta", args.delta), ("L(1,chi)", value), ("error bound", bound)]
+    rows: list[Row] = [
+        ("delta", "delta", args.delta),
+        ("L(1,chi)", "l_one", value),
+        ("error bound", "error_bound", bound),
+        # the records line carries a null oracle; the table leaves it out
+        (None if oracle is None else "class-number oracle", "class_number_oracle", oracle),
+    ]
     if oracle is not None:
-        rows.append(("class-number oracle", oracle))
-        rows.append(("|difference|", abs(value - oracle)))
-    payload = {
-        "delta": args.delta,
-        "l_one": value,
-        "error_bound": bound,
-        "class_number_oracle": oracle,
-    }
-    _emit(settings, rows, payload)
+        rows.append(("|difference|", None, abs(value - oracle)))
+    _emit(settings, rows)
     if oracle is not None and abs(value - oracle) > bound + 1e-12:
         print("consistency failure: erfc series disagrees with oracle", file=sys.stderr)
         return 4
@@ -596,7 +598,7 @@ def _check_congruence_counts(rng: random.Random) -> str:
     return f"{trials} moduli"
 
 
-def _check_segment_determinism(settings: Settings) -> str:
+def _check_segment_determinism() -> str:
     f = validate(1, 1, 41)
     short = sieve_pi(f, 10**5, budget=SieveBudget(segment_size=64))
     whole = sieve_pi(f, 10**5, budget=SieveBudget())
@@ -635,7 +637,7 @@ def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
         ("lfun-class-number", lambda: _check_lfun_oracle(settings)),
         ("buchstab-residual", lambda: _check_buchstab(rng, settings)),
         ("congruence-counts", lambda: _check_congruence_counts(rng)),
-        ("segment-determinism", lambda: _check_segment_determinism(settings)),
+        ("segment-determinism", _check_segment_determinism),
         ("wv-ratio", lambda: _check_wv_ratio(rng)),
     ]
     failures = 0

@@ -95,11 +95,14 @@ def _checked_fields(line: str) -> dict:
 
 
 def append_record(path: str, record: RunRecord) -> None:
-    """Append one line; creates the file (and parents) on first use."""
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(to_json_line(record) + "\n")
+    """Append one line; creates the file (and parents) on first use. A path
+    that cannot be written raises SpecParseError."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(to_json_line(record) + "\n")
+    except OSError as exc:
+        raise SpecParseError(f"cannot write records {path}: {exc}") from None
 
 
 def _lines(path: str) -> Iterator[str]:
@@ -108,12 +111,8 @@ def _lines(path: str) -> Iterator[str]:
             yield from filter(None, map(str.strip, fh))
 
 
-def iter_records(path: str) -> Iterator[RunRecord]:
-    return map(from_json_line, _lines(path))
-
-
 def load_records(path: str) -> list[RunRecord]:
-    return list(iter_records(path))
+    return [from_json_line(line) for line in _lines(path)]
 
 
 def find_latest(path: str, key: RunKey) -> RunRecord | None:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -524,3 +525,53 @@ def test_records_lines_are_byte_exact(argv, line, capsys, default_settings):
     code, out, err = run(capsys, *argv, "--format", "records")
     assert (code, err) == (0, "")
     assert re.sub(r'"timestamp":"[^"]+"', '"timestamp":"T"', out) == line + "\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_unwritable_records_path_exits_2(command, capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    poly = ["-a", "1", "-b", "1", "-c", "41", "-N", "1000"]
+    for path in (tmp_path, blocker / "r.jsonl"):
+        code, _, err = run(capsys, command, *poly, "--records", str(path))
+        assert code == 2, path
+        assert err.startswith("error: SpecParseError: cannot write records ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_integer_flags_are_read_exactly():
+    parser = build_parser()
+
+    def parsed(text):
+        args = parser.parse_args(["analyze", "-a", "1", "-b", "0", "-c", "1", f"-N={text}",
+                                  f"--budget-max-n={text}"])
+        return args.N, resolve_settings(args).max_n
+
+    assert parsed("9007199254740993.0") == (9007199254740993,) * 2
+    assert parsed("123456789012345678.0") == (123456789012345678,) * 2
+    assert parsed("1.2345678901234567891e19") == (12345678901234567891,) * 2
+    assert parsed("-4E3") == (-4000,) * 2
+
+
+@pytest.mark.parametrize("text", ["1.5", "1.0000000000000000001", "1e-999999999", "nan",
+                                  "-inf", "Infinity", "1e309", "1e999999999", "0x10"])
+def test_integer_flags_refuse_what_is_not_an_integer(text, capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "-a", "1", "-b", "0", "-c", "1", f"-N={text}",
+                         "--no-record")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: SpecParseError: not an integer: {text!r}\n"
+
+
+def test_plain_integer_call_loads_no_decimal():
+    # decimal is read only for integers written with a point or an exponent
+    src = str(Path(quadprimes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = ("import sys, quadprimes.cli as cli\n"
+              "code = cli.main(['analyze', '-a', '1', '-b', '1', '-c', '41', '-N', '1000',\n"
+              "                 '--no-record'])\n"
+              "sys.exit(code or 10 * ('decimal' in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
