@@ -321,9 +321,9 @@ def cmd_analyze(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
-# the columns of a scan row: a, b, c, delta, |A|, pi_f, main term, relative
-# error, then the status after two spaces
-_SCAN_ROW = "{:>6} {:>6} {:>6} {:>12} {:>8} {:>8} {:>14} {:>11}  {}"
+def _scan_row(a, b, c, delta, size, pi_f, main, rel, status) -> str:
+    """One line of scan's table, the header included."""
+    return f"{a:>6} {b:>6} {c:>6} {delta:>12} {size:>8} {pi_f:>8} {main:>14} {rel:>11}  {status}"
 
 
 def _parse_range(text: str) -> range:
@@ -355,7 +355,7 @@ def cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
     c_vals = _coef_values(args, "c")
     n_value = args.N
     if settings.format == "table":
-        print(_SCAN_ROW.format("a", "b", "c", "delta", "|A|", "pi_f", "main", "rel_err", "status"))
+        print(_scan_row("a", "b", "c", "delta", "|A|", "pi_f", "main", "rel_err", "status"))
     exit_code = 0
     l_values: dict[int, tuple[float, float]] = {}
     for a in a_vals:
@@ -365,7 +365,7 @@ def cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
                     f = validate(a, b, c)
                 except ValidationError as exc:
                     if settings.format == "table":
-                        print(_SCAN_ROW.format(a, b, c, *["-"] * 5, f"skip:{type(exc).__name__}"))
+                        print(_scan_row(a, b, c, *["-"] * 5, f"skip:{type(exc).__name__}"))
                     else:
                         print(f"skip a={a} b={b} c={c} {type(exc).__name__}", file=sys.stderr)
                     continue
@@ -374,7 +374,7 @@ def cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
                 except QuadprimesError as exc:
                     exit_code = max(exit_code, exc.exit_code)
                     if settings.format == "table":
-                        print(_SCAN_ROW.format(a, b, c, f.delta, *["-"] * 4,
+                        print(_scan_row(a, b, c, f.delta, *["-"] * 4,
                                                f"error:{type(exc).__name__}"))
                     else:
                         print(f"error a={a} b={b} c={c} {type(exc).__name__}: {exc}",
@@ -386,7 +386,7 @@ def cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
                     _emit(settings, rows)
                 else:
                     rel = record.relative_error
-                    print(_SCAN_ROW.format(
+                    print(_scan_row(
                         a, b, c, f.delta, record.cardinality_a, record.pi_f,
                         f"{record.main_term:.6g}", "-" if rel is None else f"{rel:+.3e}", "ok",
                     ))
