@@ -34,8 +34,8 @@ from .errors import (
     ToleranceUnreachable,
     UndefinedSymbol,
 )
-from .polynomial import AdmissiblePolynomial, legendre
-from .primes import TRIAL_DIVISION_LIMIT, factorize, is_prime, primes_upto, trial_division
+from .polynomial import AdmissiblePolynomial, _chi_upto
+from .primes import TRIAL_DIVISION_LIMIT, factorize, is_prime, trial_division
 
 # the most series terms l_one builds; 9e6 terms peak at about 90 MB
 DEFAULT_CUTOFF_CAP = 10**7
@@ -147,30 +147,6 @@ def _series_length(d: int, target: float) -> int:
     while _tail_bound(d, hi) > target:
         hi *= 2
     return bisect_left(range(hi + 1), True, lo=1, key=lambda m: _tail_bound(d, m) <= target)
-
-
-def _chi_upto(d: int, limit: int) -> np.ndarray:
-    """chi_d(n) for 0 <= n <= limit as int8: on primes by Euler's criterion
-    (p = 2 from d mod 8), then on every n by complete multiplicativity."""
-    primes = np.array(primes_upto(limit), dtype=np.int64)
-    chi_p = legendre(d, primes).astype(np.int8)
-    chi_p[:1] = kronecker(d, 2)
-    chi = np.ones(limit + 1, dtype=np.int8)
-    chi[0] = 0
-    root = isqrt(limit)
-    small = np.searchsorted(primes, root, side="right")
-    for p, c in zip(primes[:small].tolist(), chi_p[:small].tolist()):
-        power = p
-        while c != 1 and power <= limit:
-            chi[power::power] *= c
-            power *= p
-    # a prime p above sqrt(limit) divides n <= limit once, as n = p*k with
-    # k < p, so one pass per cofactor k covers all of them
-    big, chi_big = primes[small:], chi_p[small:]
-    for k in range(1, limit // (root + 1) + 1):
-        count = np.searchsorted(big, limit // k, side="right")
-        chi[big[:count] * k] *= chi_big[:count]
-    return chi
 
 
 def _e1(x: np.ndarray) -> np.ndarray:

@@ -160,9 +160,9 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_poly_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-a", type=int, required=True, help="leading coefficient")
-    sub.add_argument("-b", type=int, required=True, help="linear coefficient")
-    sub.add_argument("-c", type=int, required=True, help="constant term")
+    sub.add_argument("-a", type=_parse_int, required=True, help="leading coefficient")
+    sub.add_argument("-b", type=_parse_int, required=True, help="linear coefficient")
+    sub.add_argument("-c", type=_parse_int, required=True, help="constant term")
     sub.add_argument("-N", type=_parse_int, required=True, help="value ceiling")
 
 
@@ -183,9 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_sc = subs.add_parser("scan", help="sweep coefficient ranges")
-    p_sc.add_argument("-a", type=int, default=None)
-    p_sc.add_argument("-b", type=int, default=None)
-    p_sc.add_argument("-c", type=int, default=None)
+    p_sc.add_argument("-a", type=_parse_int, default=None)
+    p_sc.add_argument("-b", type=_parse_int, default=None)
+    p_sc.add_argument("-c", type=_parse_int, default=None)
     range_help = "inclusive bounds; write --%s-range=-3:3 when LO is negative"
     p_sc.add_argument("--a-range", metavar="LO:HI", default=None, help=range_help % "a")
     p_sc.add_argument("--b-range", metavar="LO:HI", default=None, help=range_help % "b")

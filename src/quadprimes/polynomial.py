@@ -288,8 +288,7 @@ def _mod_each(x: int, p: np.ndarray) -> np.ndarray:
 
 
 def _pow_mod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """base**exp mod p elementwise by square-and-multiply over the bits of
-    exp; base and exp may stack several rows over the same p."""
+    """base**exp mod p elementwise by square-and-multiply over the bits of exp."""
     result = np.ones_like(base)
     for _ in range(int(exp.max(initial=0)).bit_length()):
         result = np.where(exp & 1, result * base % p, result)
@@ -298,10 +297,53 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
     return result
 
 
+def _chi_upto(d: int, limit: int) -> np.ndarray:
+    """chi_d(n) for 0 <= n <= limit as int8: on primes by Euler's criterion
+    (p = 2 from d mod 8), then on every n by complete multiplicativity."""
+    primes = np.array(primes_upto(limit), dtype=np.int64)
+    chi_p = legendre(d, primes).astype(np.int8)
+    chi_p[:1] = (0, 1, 0, -1, 0, -1, 0, 1)[d % 8]  # the Kronecker symbol (d/2)
+    chi = np.ones(limit + 1, dtype=np.int8)
+    chi[0] = 0
+    root = isqrt(limit)
+    small = np.searchsorted(primes, root, side="right")
+    for p, c in zip(primes[:small].tolist(), chi_p[:small].tolist()):
+        power = p
+        while c != 1 and power <= limit:
+            chi[power::power] *= c
+            power *= p
+    # a prime p above sqrt(limit) divides n <= limit once, as n = p*k with
+    # k < p, so one pass per cofactor k covers all of them
+    big, chi_big = primes[small:], chi_p[small:]
+    for k in range(1, limit // (root + 1) + 1):
+        count = np.searchsorted(big, limit // k, side="right")
+        chi[big[:count] * k] *= chi_big[:count]
+    return chi
+
+
+def _chi_by_period(x: int, p: np.ndarray) -> np.ndarray | None:
+    """(x/p) for each prime p (1 at p = 2) by one gather from a table of
+    chi_x mod |x| when x = 0, 1 (mod 4) and 0 < |x| <= p.size, else None.
+    n -> (x/n) has period |x| for such x (H. Cohen, GTM 138, Sec. 1.4), and
+    the table is built by Euler's criterion on fewer than |x| primes."""
+    m = abs(x)
+    if x % 4 > 1 or not 0 < m <= p.size:
+        return None
+    table = _chi_upto(x, m)
+    table[0] = table[m]  # chi(|x|): 0, or 1 for x = 1
+    chi = table[p % m].astype(np.int64)
+    chi[p == 2] = 1
+    return chi
+
+
 def legendre(x: int, p: np.ndarray) -> np.ndarray:
-    """(x/p) in {-1, 0, 1} for each odd prime p <= MAX_TABLE_PRIME, by
-    Euler's criterion x^((p-1)/2) mod p (1 at p = 2). Any power other than
-    0, 1 or p - 1 shows that p is not prime and raises ConsistencyError."""
+    """(x/p) in {-1, 0, 1} for each odd prime p <= MAX_TABLE_PRIME (1 at
+    p = 2): from a period table where _chi_by_period applies, else by
+    Euler's criterion x^((p-1)/2) mod p. There, any power other than 0, 1 or
+    p - 1 shows that p is not prime and raises ConsistencyError."""
+    chi = _chi_by_period(x, p)
+    if chi is not None:
+        return chi
     euler = _pow_mod(_mod_each(x, p), (p - 1) >> 1, p)
     bad = (euler > 1) & (euler != p - 1)
     if bad.any():
@@ -338,26 +380,43 @@ def _non_residues(p: np.ndarray) -> np.ndarray:
     return z
 
 
+def _inverse_mod(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """1/m mod p for each m coprime to p by the extended Euclidean algorithm
+    over arrays: s0 m = r0 and s1 m = r1 (mod p) throughout, and a finished
+    row keeps one remainder 1, whose coefficient is the inverse."""
+    r0, r1, s0, s1 = p, m, np.zeros_like(p), np.ones_like(p)
+    while (r1 > 1).any():
+        q = r0 // np.maximum(r1, 1)
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return np.where(r1 == 1, s1, s0) % p
+
+
 def _odd_root_rows(f: AdmissiblePolynomial, p: np.ndarray) -> np.ndarray:
     """Root rows mod odd primes p <= MAX_TABLE_PRIME that do not divide a.
 
     Completing the square turns f = 0 into (2an + b)^2 = delta, so the roots
-    are (-b +- s)/(2a) with s^2 = delta. s comes from Tonelli-Shanks (H.
-    Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.1)
-    run over arrays, on the rows not yet solved. Every product of two
-    residues is below p^2 < 2^63.
+    are (-b +- s)/(2a) with s^2 = delta. Only rows with (delta/p) != -1 are
+    solved when a period table gives (delta/p), with Euler's criterion checked
+    on each, so a wrong table raises ConsistencyError. s comes from
+    Tonelli-Shanks (H. Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.5.1) run over arrays, on the rows not yet solved. Every
+    product of two residues is below p^2 < 2^63.
     """
+    chi = _chi_by_period(f.delta, p)
+    solve = slice(None) if chi is None else chi >= 0
+    every, p = p, p[solve]
     d = _mod_each(f.delta, p)
     minus_b = _mod_each(-f.b, p)
     two_e = (p - 1) & (1 - p)  # p - 1 = q * 2^e
     e = np.frexp(two_e)[1] - 1
     q = (p - 1) >> e
-    bases, exps = np.stack((_mod_each(2 * f.a, p), d)), np.stack((p - 2, (q - 1) >> 1))
-    inv_2a, w = _pow_mod(bases, exps, p)  # 1/(2a) and d^((q-1)/2)
+    w = _pow_mod(d, (q - 1) >> 1, p)
     s = w * d % p  # d^((q+1)/2), the root already when t = 1
     t = w * s % p  # d^q
     # Euler's criterion d^((p-1)/2) = t^(2^(e-1)); d = 0 gives s = t = 0
     residue = (_square_times(t, e - 1, p) == 1) | (d == 0)
+    if chi is not None and not residue.all():
+        raise ConsistencyError(f"the period table of {f.delta} is wrong mod {p[~residue][0]}")
 
     todo = np.flatnonzero(residue & (t > 1))  # p = 1 (mod 4) only
     pt, m, tt, st = p[todo], e[todo], t[todo], s[todo]
@@ -378,11 +437,16 @@ def _odd_root_rows(f: AdmissiblePolynomial, p: np.ndarray) -> np.ndarray:
         todo, pt, m, tt, st, y = (x[~done] for x in (todo, pt, m, tt, st, y))
 
     pairs = np.stack(((minus_b + s) % p, (minus_b - s) % p), axis=1)
+    inv_2a = _inverse_mod(_mod_each(2 * f.a, p), p)
     rows = np.sort(pairs * inv_2a[:, None] % p[:, None], axis=1)
     rows[d == 0, 1] = -1
     rows[~residue] = -1
     _check_roots(f, p, rows)
-    return rows
+    if chi is None:
+        return rows
+    out = np.full((every.size, 2), -1, dtype=np.int64)
+    out[solve] = rows
+    return out
 
 
 def _check_roots(f: AdmissiblePolynomial, p: np.ndarray, rows: np.ndarray) -> None:

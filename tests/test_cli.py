@@ -575,3 +575,21 @@ def test_plain_integer_call_loads_no_decimal():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_coefficient_flags_are_read_as_integers(capsys):
+    rest = ["-b", "1", "-c", "41", "-N", "1e3", "--no-record"]
+    plain = run(capsys, "analyze", "-a", "1", *rest)
+    assert plain[0] == 0
+    assert run(capsys, "analyze", "-a", "1e0", *rest) == plain
+    scan = run(capsys, "scan", "-a", "1", "-b", "1", "-c", "41", "-N", "1e3", "--no-record")
+    assert scan[0] == 0
+    assert run(capsys, "scan", "-a", "1.0", "-b", "1e0", "-c", "4.1e1", "-N", "1e3",
+               "--no-record") == scan
+    for command in ("analyze", "scan"):
+        for flag in ("-a", "-b", "-c"):
+            argv = {"-a": "1", "-b": "1", "-c": "41", flag: "1.5"}
+            code, out, err = run(capsys, command, *(x for kv in argv.items() for x in kv),
+                                 "-N", "1e3", "--no-record")
+            assert (code, out) == (2, ""), (command, flag)
+            assert err == "error: SpecParseError: not an integer: '1.5'\n"

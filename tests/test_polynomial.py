@@ -17,6 +17,7 @@ from quadprimes.errors import (
 from quadprimes.polynomial import (
     MAX_TABLE_PRIME,
     enumeration_domain,
+    legendre,
     prime_root_table,
     rho,
     roots_mod,
@@ -285,3 +286,67 @@ def test_prime_root_table_checks_every_vector_root():
     polynomial._check_roots(f, p, rows)  # padding is not checked
     with pytest.raises(ConsistencyError):
         polynomial._check_roots(f, p, rows + [[0, 0], [0, 0], [1, 0]])
+
+
+def euler_legendre(x, p):
+    """(x/p) by Euler's criterion alone: the path legendre takes without a
+    period table."""
+    power = polynomial._pow_mod(polynomial._mod_each(x, p), (p - 1) >> 1, p)
+    return np.where(power > 1, -1, power)
+
+
+def test_legendre_period_table_matches_euler():
+    p = np.array(primes_upto(10**4), dtype=np.int64)
+    # every discriminant-like x with |x| <= 400, squares and x = 1 included
+    for x in (x for x in range(-400, 401) if x and x % 4 < 2):
+        assert polynomial._chi_by_period(x, p) is not None, x
+        assert np.array_equal(legendre(x, p), euler_legendre(x, p)), x
+    # the switch: |x| at the prime count takes the table, one above it does not
+    q = p[:1228]
+    for x in (1228, -1228, 1229):
+        gathered = polynomial._chi_by_period(x, q)
+        assert (gathered is None) == (abs(x) > q.size), x
+        assert np.array_equal(legendre(x, q), euler_legendre(x, q)), x
+
+
+def test_inverse_mod_matches_pow():
+    rng = random.Random(13)
+    p = np.array(primes_upto(10**5)[1:], dtype=np.int64)
+    for a in [1, -1, 2, 3, -7, 10**6 + 3, 2**62 + 1, -(2**80) - 3] + [
+        rng.randint(-(2**80), 2**80) for _ in range(20)
+    ]:
+        odd = p[polynomial._mod_each(a, p) != 0]
+        m = polynomial._mod_each(2 * a, odd)
+        want = [pow(2 * a, -1, q) for q in odd.tolist()]
+        assert polynomial._inverse_mod(m, odd).tolist() == want, a
+
+
+def reference_rows(f, primes):
+    rows = [list(roots_mod_prime(f, p).roots) for p in primes.tolist()]
+    return np.array([r + [-1] * (2 - len(r)) for r in rows], dtype=np.int64).reshape(-1, 2)
+
+
+def test_prime_root_table_solves_only_residue_rows():
+    limit = 20000
+    rows = len(primes_upto(limit)) - 1  # the rows solved over arrays when a = 1
+    assert rows == 2261
+    # a = 1 and |delta| one below, at and three above that count: -2260, 2261,
+    # -2264 (no admissible f with a = 1 has delta = -2263)
+    near = [validate(1, 0, 565), validate(1, 1, -565), validate(1, 0, 566)]
+    odd = np.array(primes_upto(limit)[1:], dtype=np.int64)
+    assert [polynomial._chi_by_period(f.delta, odd) is None for f in near] == [
+        False, False, True]
+    for f in near + [
+        validate(1, 1, 41),  # |delta| far below the count
+        validate(-3, 1, 187),  # a < 0, delta = 2245
+        validate(7, 2**64 + 1, -(2**80) - 3),  # coefficients beyond int64
+        validate(-(2**70) - 1, 3, 5),
+    ]:
+        table = prime_root_table(f, limit)
+        assert np.array_equal(table.roots, reference_rows(f, table.primes)), str(f)
+
+
+def test_period_table_calling_every_class_a_residue_raises(monkeypatch):
+    monkeypatch.setattr(polynomial, "_chi_upto", lambda d, limit: np.ones(limit + 1, np.int8))
+    with pytest.raises(ConsistencyError, match="period table"):
+        prime_root_table(validate(1, 1, 41), 1000)
