@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lf.set_defaults(func=cmd_lfun)
 
     p_ve = subs.add_parser("verify", help="run the internal cross-check suite")
-    p_ve.add_argument("--seed", type=int, default=20260814)
+    p_ve.add_argument("--seed", type=_parse_int, default=20260814)
     _add_budget_flags(p_ve)
     p_ve.set_defaults(func=cmd_verify)
 

@@ -298,8 +298,8 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _chi_upto(d: int, limit: int) -> np.ndarray:
-    """chi_d(n) for 0 <= n <= limit as int8: on primes by Euler's criterion
-    (p = 2 from d mod 8), then on every n by complete multiplicativity."""
+    """chi_d(n) for 0 <= n <= limit as int8: on primes by legendre (p = 2
+    from d mod 8), then on every n by complete multiplicativity."""
     primes = np.array(primes_upto(limit), dtype=np.int64)
     chi_p = legendre(d, primes).astype(np.int8)
     chi_p[:1] = (0, 1, 0, -1, 0, -1, 0, 1)[d % 8]  # the Kronecker symbol (d/2)
@@ -404,7 +404,7 @@ def _odd_root_rows(f: AdmissiblePolynomial, p: np.ndarray) -> np.ndarray:
     """
     chi = _chi_by_period(f.delta, p)
     solve = slice(None) if chi is None else chi >= 0
-    every, p = p, p[solve]
+    count, p = p.size, p[solve]
     d = _mod_each(f.delta, p)
     minus_b = _mod_each(-f.b, p)
     two_e = (p - 1) & (1 - p)  # p - 1 = q * 2^e
@@ -444,7 +444,7 @@ def _odd_root_rows(f: AdmissiblePolynomial, p: np.ndarray) -> np.ndarray:
     _check_roots(f, p, rows)
     if chi is None:
         return rows
-    out = np.full((every.size, 2), -1, dtype=np.int64)
+    out = np.full((count, 2), -1, dtype=np.int64)
     out[solve] = rows
     return out
 

@@ -577,7 +577,7 @@ def test_plain_integer_call_loads_no_decimal():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_coefficient_flags_are_read_as_integers(capsys):
+def test_coefficient_and_seed_flags_are_read_as_integers(capsys):
     rest = ["-b", "1", "-c", "41", "-N", "1e3", "--no-record"]
     plain = run(capsys, "analyze", "-a", "1", *rest)
     assert plain[0] == 0
@@ -593,3 +593,5 @@ def test_coefficient_flags_are_read_as_integers(capsys):
                                  "-N", "1e3", "--no-record")
             assert (code, out) == (2, ""), (command, flag)
             assert err == "error: SpecParseError: not an integer: '1.5'\n"
+    assert run(capsys, "verify", "--seed", "1.5") == (
+        2, "", "error: SpecParseError: not an integer: '1.5'\n")

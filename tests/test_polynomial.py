@@ -321,11 +321,6 @@ def test_inverse_mod_matches_pow():
         assert polynomial._inverse_mod(m, odd).tolist() == want, a
 
 
-def reference_rows(f, primes):
-    rows = [list(roots_mod_prime(f, p).roots) for p in primes.tolist()]
-    return np.array([r + [-1] * (2 - len(r)) for r in rows], dtype=np.int64).reshape(-1, 2)
-
-
 def test_prime_root_table_solves_only_residue_rows():
     limit = 20000
     rows = len(primes_upto(limit)) - 1  # the rows solved over arrays when a = 1
@@ -342,8 +337,7 @@ def test_prime_root_table_solves_only_residue_rows():
         validate(7, 2**64 + 1, -(2**80) - 3),  # coefficients beyond int64
         validate(-(2**70) - 1, 3, 5),
     ]:
-        table = prime_root_table(f, limit)
-        assert np.array_equal(table.roots, reference_rows(f, table.primes)), str(f)
+        assert_rows_match_per_prime_solver(f, limit)
 
 
 def test_period_table_calling_every_class_a_residue_raises(monkeypatch):
