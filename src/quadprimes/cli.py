@@ -12,6 +12,7 @@ file (key=value lines) > built-in defaults. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import random
@@ -166,6 +167,7 @@ def _add_poly_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-N", type=_parse_int, required=True, help="value ceiling")
 
 
+@functools.cache  # defaults are constants; resolve_settings reads env and config
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadprimes",

@@ -2,24 +2,22 @@
 
 Each span of consecutive n is one int64 array of values f(n). Every root r
 of f modulo a prime p <= sqrt(max f), read off the polynomial's root table
-as flat (p, r) arrays, strikes the positions n = r (mod p) with lpf = p. A
-prime that hits the span at least SLICE_HITS times does so by one strided
-slice write, in descending order of p so that the smallest is written last.
-Every larger prime hits it only a few times, so those hits are gathered into
-batches of positions, and each batch is written by one np.minimum.at: the
-bucket sieve of Oliveira e Silva, Herzog and Pardi (Math. Comp. 83, 2014).
-Every value gets the least prime that strikes it, whatever the order of the
-hits. A value nothing struck is 1 or a prime above the strike limit, and is
-its own lpf; a value above 1 is prime exactly when it equals its lpf.
+as flat (p, r) arrays, strikes the positions n = r (mod p) with p's position
+in the table, so the least position is the least prime. A prime that hits
+the span at least SLICE_HITS times does so by one strided slice write,
+smallest last; the other hits are gathered into batches of positions, each
+written by one np.minimum.at: the bucket sieve of Oliveira e Silva, Herzog
+and Pardi (Math. Comp. 83, 2014). A value nothing struck keeps position
+T = table size: it is 1, a prime above the strike limit, or 0 when T = 0.
+One np.bincount over the positions counts each table prime as an lpf.
 
-The least-prime-factor histogram keys every lpf up to isqrt(N) exactly and
-pools anything larger into a single bucket, which is all the resolution the
-sifting counts S(A, z) need for z <= isqrt(N) + 1.
+The histogram keys every lpf up to isqrt(N) exactly and pools anything
+larger into a single bucket, which is all the resolution the sifting counts
+S(A, z) need for z <= isqrt(N) + 1.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -45,8 +43,8 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_SAFE_N = 10**18
 # a prime with at least this many hits in a span strikes by a slice write
 SLICE_HITS = 64
-# lpf of a value no prime has struck yet; above every value and prime
-UNSTRUCK = np.iinfo(np.int64).max
+# the prime at position T: above any key_cap, so no value at most key_cap is it
+ABOVE_KEYS = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -94,43 +92,50 @@ def _max_value(f: AdmissiblePolynomial, domain: EnumerationDomain) -> int:
     )
 
 
-def _strike_rows(table: PrimeRootTable) -> tuple[np.ndarray, np.ndarray]:
-    """The table flattened to one (p, r) pair per root, p ascending."""
-    struck = table.roots >= 0
-    return np.broadcast_to(table.primes[:, None], table.roots.shape)[struck], table.roots[struck]
+def _strike_rows(table: PrimeRootTable) -> tuple[np.ndarray, ...]:
+    """The table flattened to (p, r, int32 position in table.primes) per root,
+    p ascending; then the prime at each position, and ABOVE_KEYS at T."""
+    rows, cols = np.nonzero(table.roots >= 0)
+    prime_at = np.append(table.primes, ABOVE_KEYS)
+    return table.primes[rows], table.roots[rows, cols], rows.astype(np.int32), prime_at
 
 
-def _scatter_min(lpf: np.ndarray, p: np.ndarray, first: np.ndarray, hits: np.ndarray) -> None:
-    """lpf[first + k p] = min(lpf[...], p) for 0 <= k < hits, row by row.
+def _scatter_min(
+    lpf: np.ndarray, p: np.ndarray, first: np.ndarray, hits: np.ndarray, pos: np.ndarray
+) -> None:
+    """lpf[first + k p] = min(lpf[...], pos) for 0 <= k < hits, row by row.
     The positions are a cumsum of steps: p within a row, and from the last
     hit of one row to the first hit of the next between rows."""
-    primes = np.repeat(p, hits)
-    steps = primes.copy()
+    steps = np.repeat(p, hits)
     last = first + (hits - 1) * p
     steps[np.cumsum(hits) - hits] = first - np.concatenate(([0], last[:-1]))
-    np.minimum.at(lpf, np.cumsum(steps), primes)
+    np.minimum.at(lpf, np.cumsum(steps), np.repeat(pos, hits))
 
 
 def _segment_counts(
     f: AdmissiblePolynomial,
     lo: int,
     hi: int,
-    strikes: tuple[np.ndarray, np.ndarray] | list[tuple[int, tuple[int, ...]]],
+    strikes: tuple[np.ndarray, ...] | list[tuple[int, tuple[int, ...]]],
     key_cap: int,
-) -> tuple[int, int, int, int, dict[int, int]]:
-    """(pi, units, zeros, large, lpf histogram) over n in [lo, hi], whose
-    values must lie in [0, MAX_SAFE_N]. strikes holds, for every prime
-    p <= sqrt(max f) that has a root, each root r of f mod p: as int64 arrays
-    (p, r) with p ascending, or as a list of (p, roots) pairs.
+) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
+    """(pi, units, zeros, large, counts, apart) over n in [lo, hi], whose
+    values must lie in [0, MAX_SAFE_N] (one below 0 falls in no count).
+    counts[i] counts the values above 0 whose lpf is the prime at table
+    position i; apart holds the unstruck primes at most key_cap. strikes is
+    _strike_rows' (p, r, position, prime_at), or (p, roots) pairs for the
+    primes p <= sqrt(max f) with roots, each at its list index.
 
     A prime with at least SLICE_HITS hits in the span strikes by a slice
-    write, smallest last. The others strike in batches of fewer than
-    2 * length hit positions, each scattered with np.minimum.at, so every
-    value gets its least prime whatever the order of the hits. Beside the
-    span's arrays, only per-row arrays the size of strikes are allocated."""
+    write, smallest last; the others by np.minimum.at in batches of fewer
+    than 2 * length hit positions. Beside the span's arrays, only per-row
+    arrays the size of strikes are allocated."""
     if isinstance(strikes, list):
-        strikes = np.array([(p, r) for p, rs in strikes for r in rs], np.int64).reshape(-1, 2).T
-    p, r = strikes
+        flat = [(p, r, i) for i, (p, rs) in enumerate(strikes) for r in rs]
+        p, r, pos = np.array(flat, np.int64).reshape(-1, 3).T
+        strikes = p, r, pos.astype(np.int32), np.array([q for q, _ in strikes] + [ABOVE_KEYS])
+    p, r, pos, prime_at = strikes
+    unstruck = prime_at.size - 1
     length = hi - lo + 1
     # f(lo), f(lo+1) - f(lo), then the second difference 2a (bounded by the
     # values once there are three): every partial sum of the differences,
@@ -142,7 +147,7 @@ def _segment_counts(
         np.cumsum(values[1:], out=values[1:])
     np.cumsum(values, out=values)
 
-    lpf = np.full(length, UNSTRUCK, dtype=np.int64)
+    lpf = np.full(length, unstruck, dtype=np.int32)
     first = (r - _mod_each(lo, p)) % p
     split = int(np.searchsorted(p, length // SLICE_HITS, side="right"))
     hits = (length - 1 - first[split:]) // p[split:] + 1
@@ -153,18 +158,23 @@ def _segment_counts(
     # none holds 2 * length positions
     cuts = np.searchsorted(np.cumsum(hits), np.arange(length, hits.sum(), length), side="right")
     for batch, counts in zip(np.split(rows, cuts), np.split(hits, cuts)):
-        _scatter_min(lpf, p[batch], first[batch], counts)
-    for q, start in zip(p[:split][::-1].tolist(), first[:split][::-1].tolist()):
-        lpf[start::q] = q
-    np.copyto(lpf, values, where=lpf == UNSTRUCK)
-    zeros = int(np.count_nonzero(values == 0))
-    units = int(np.count_nonzero(values == 1))
-    above_one = values > 1
-    pi_count = int(np.count_nonzero(above_one & (lpf == values)))
-    small = above_one & (lpf <= key_cap)
-    keys, counts = np.unique(lpf[small], return_counts=True)
-    large = int(np.count_nonzero(above_one)) - int(np.count_nonzero(small))
-    return pi_count, units, zeros, large, dict(zip(keys.tolist(), counts.tolist()))
+        _scatter_min(lpf, p[batch], first[batch], counts, pos[batch])
+    for q, start, at in zip(*(x[:split][::-1].tolist() for x in (p, first, pos))):
+        lpf[start::q] = at
+    counts = np.bincount(lpf, minlength=unstruck + 1)
+    # the units, the zeros and the primes the histogram keys are at most key_cap
+    small = np.flatnonzero(values <= key_cap)
+    v, at = values[small], lpf[small]
+    below = at[v < 1]
+    if below.size:  # no bucket but the zero count holds a value below 1
+        np.subtract.at(counts, below, 1)
+    units = int(np.count_nonzero(v == 1))
+    apart = v[(at == unstruck) & (v > 1)]
+    # an unstruck value above 1 is prime, and a struck one if it is its prime
+    pi_count = int(counts[unstruck]) - units + int(np.count_nonzero(prime_at[at] == v))
+    large = int(counts[unstruck]) - units - apart.size
+    zeros = int(np.count_nonzero(v == 0)) if below.size else 0
+    return pi_count, units, zeros, large, counts[:unstruck], apart
 
 
 def checked_domain(
@@ -212,15 +222,18 @@ def sieve_pi(
     strikes = _strike_rows(table)
 
     seg = max(budget.segment_size, 16)
-    parts = [
-        _segment_counts(f, start, min(start + seg - 1, hi), strikes, key_cap)
-        for lo, hi in domain.intervals
-        for start in range(lo, hi + 1, seg)
-    ]
-    pi_f, units, zeros, large = (sum(part[i] for part in parts) for i in range(4))
-    hist: Counter = Counter()
-    for part in parts:
-        hist.update(part[4])
+    pi_f = units = zeros = large = 0
+    counts, apart = np.zeros(table.primes.size, dtype=np.int64), []
+    for lo, hi in domain.intervals:
+        for start in range(lo, hi + 1, seg):
+            part = _segment_counts(f, start, min(start + seg - 1, hi), strikes, key_cap)
+            pi_f, units, zeros, large = (x + y for x, y in zip((pi_f, units, zeros, large), part))
+            counts += part[4]
+            apart += part[5].tolist()
+    keyed = np.flatnonzero(counts)
+    hist = dict(zip(table.primes[keyed].tolist(), counts[keyed].tolist()))
+    for q in sorted(apart):  # the unstruck primes at most key_cap, above the table
+        hist[q] = hist.get(q, 0) + 1
 
     total = units + zeros + large + sum(hist.values())
     if total != domain.cardinality_a:
@@ -236,7 +249,7 @@ def sieve_pi(
         unit_count=units,
         zero_count=zeros,
         large_prime_count=large,
-        lpf_histogram=dict(hist),
+        lpf_histogram=hist,
         domain=domain,
         root_table=table,
     )

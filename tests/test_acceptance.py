@@ -97,18 +97,29 @@ def test_04_interval_bound_on_every_x_table_branch():
     rng = random.Random(104)
     seen = {"neg_disc": 0, "pos_disc_up": 0, "pos_disc_down_over": 0,
             "pos_disc_down_under": 0}
-    while min(seen.values()) < 50:
-        a, b, c = rand_admissible(rng, 12)
+
+    def check(a, b, c, n_value):
         f = validate(a, b, c)
-        n_value = rng.randint(1, 10**5)
         kind = branch(f, n_value)
         if kind is None:
-            continue
+            return
         dom = enumeration_domain(f, n_value)
         if dom.x_length >= 2:
             assert dom.x_length - 2 < dom.cardinality_a < dom.x_length + 2, (
                 a, b, c, n_value, kind)
             seen[kind] += 1
+
+    under = "pos_disc_down_under"
+    while min(count for kind, count in seen.items() if kind != under) < 50:
+        a, b, c = rand_admissible(rng, 12)
+        check(a, b, c, rng.randint(1, 10**5))
+    # N <= delta/4|a| is rare among N up to 1e5, so that branch is drawn
+    # directly: a < 0 and delta > 0, then N in [1, delta // 4|a|]
+    while seen[under] < 50:
+        a, b, c = rand_admissible(rng, 12)
+        delta = b * b - 4 * a * c
+        if a < 0 and delta >= 4 * -a:
+            check(a, b, c, rng.randint(1, delta // (4 * -a)))
 
 
 def test_05_rho_dominated_by_lambda_on_squarefree_moduli():

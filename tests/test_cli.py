@@ -339,6 +339,15 @@ def test_repeat_runs_identical_up_to_timestamp(capsys, tmp_path):
     assert t1 == t2
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    argv = ("buchstab", "-a", "1", "-b", "1", "-c", "41", "-N", "1e4", "--z", "20")
+    _, plain, _ = run(capsys, *argv)
+    _, per_prime, _ = run(capsys, *argv, "--per-prime")
+    _, again, _ = run(capsys, *argv)
+    assert again == plain != per_prime
+
+
 def test_cli_never_raises_across_error_taxonomy(capsys):
     import random
 

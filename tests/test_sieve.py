@@ -144,13 +144,23 @@ def _slice_loop_counts(f, lo, hi, strikes, key_cap):
             sum(q > key_cap for q, _ in above_one), dict(hist))
 
 
+def _kernel_counts(f, lo, hi, strikes, primes, key_cap):
+    """The kernel's counts with the table positions read back as primes,
+    in _slice_loop_counts' form."""
+    pi, units, zeros, large, counts, apart = _segment_counts(f, lo, hi, strikes, key_cap)
+    assert counts.size == len(primes)
+    hist = Counter({q: int(c) for q, c in zip(primes, counts) if c})
+    hist.update(apart.tolist())
+    return pi, units, zeros, large, dict(hist)
+
+
 def test_segment_counts_match_the_slice_loop(monkeypatch):
     batches = []
     real_scatter = sieve._scatter_min
 
-    def recording_scatter(lpf, p, first, hits):
+    def recording_scatter(lpf, p, first, hits, pos):
         batches.append((lpf, int(hits.sum())))
-        real_scatter(lpf, p, first, hits)
+        real_scatter(lpf, p, first, hits, pos)
 
     monkeypatch.setattr(sieve, "_scatter_min", recording_scatter)
     k = 2**70  # x^2 + x + 41 moved to n near 2^70: b and c exceed int64, and so does n
@@ -169,8 +179,10 @@ def test_segment_counts_match_the_slice_loop(monkeypatch):
                      (max(lo, mid - 5000), min(hi, mid + 5000)), (lo, min(hi, lo + 70000))]
             for a, b in spans:
                 want = _slice_loop_counts(f, a, b, pairs, isqrt(10**7))
-                assert _segment_counts(f, a, b, arrays, isqrt(10**7)) == want, (coeffs, a, b)
-                assert _segment_counts(f, a, b, pairs, isqrt(10**7)) == want, (coeffs, a, b)
+                got = _kernel_counts(f, a, b, arrays, table.primes.tolist(), isqrt(10**7))
+                assert got == want, (coeffs, a, b)
+                got = _kernel_counts(f, a, b, pairs, [p for p, _ in pairs], isqrt(10**7))
+                assert got == want, (coeffs, a, b)
     assert any(lo < 0 for coeffs in polys[:3]
                for lo, _ in enumeration_domain(validate(*coeffs), 10**7).intervals)
     # spans of one value and of 16, and spans cut into several batches
@@ -196,6 +208,34 @@ def test_lpf_histogram_matches_bruteforce_on_both_domain_shapes():
             res = sieve_pi(f, n_value, SieveBudget(segment_size=seg))
             got = (res.unit_count, res.large_prime_count, res.lpf_histogram)
             assert got == brute_lpf_counts(a, b, c, n_value, res.key_cap), (a, b, c, n_value, seg)
+
+
+def test_counting_branches_match_bruteforce():
+    # a < 0 with N at least (delta/4|a|)^2 puts key_cap above every value, so
+    # each prime value above the strike limit is keyed apart from the table;
+    # N <= 3 leaves the root table empty, so every value is unstruck
+    rng = random.Random(19)
+    cases = []
+    while len(cases) < 40:
+        a, b, c = -rng.randint(1, 3), rng.randint(-60, 60), rng.randint(-60, 60)
+        peak = (b * b - 4 * a * c) // (4 * -a)
+        if is_admissible(a, b, c) and peak > 0:
+            cases.append((a, b, c, rng.randint(1, 20) * (peak + 1) ** 2))
+    while len(cases) < 80:
+        cases.append((*rand_admissible(rng, 3), rng.randint(1, 3)))
+    apart = empty_table = split_spans = 0
+    for a, b, c, n_value in cases:
+        f = validate(a, b, c)
+        want = brute_lpf_counts(a, b, c, n_value, isqrt(n_value))
+        for seg in (16, 1 << 20):
+            res = sieve_pi(f, n_value, SieveBudget(segment_size=seg))
+            got = (res.unit_count, res.large_prime_count, res.lpf_histogram)
+            assert got == want, (a, b, c, n_value, seg)
+            assert res.pi_f == brute_pi(a, b, c, n_value), (a, b, c, n_value, seg)
+        apart += any(q > isqrt(res.max_value) for q in res.lpf_histogram)
+        empty_table += res.cardinality_a > 0 and res.root_table.primes.size == 0
+        split_spans += res.cardinality_a > 16
+    assert apart >= 20 and empty_table >= 10 and split_spans >= 20
 
 
 def test_sieve_exact_when_coefficients_exceed_int64():
@@ -228,8 +268,8 @@ def test_bucket_partition_checked_under_python_O():
         real = sieve._segment_counts
 
         def drop_one_value(*args):
-            pi, units, zeros, large, hist = real(*args)
-            return pi, units, zeros, large - 1, hist
+            pi, units, zeros, large, counts, apart = real(*args)
+            return pi, units, zeros, large - 1, counts, apart
 
         sieve._segment_counts = drop_one_value
         try:
