@@ -157,12 +157,12 @@ def _segment_counts(
     # of length: a row has at most length hits, so no batch is empty and
     # none holds 2 * length positions
     cuts = np.searchsorted(np.cumsum(hits), np.arange(length, hits.sum(), length), side="right")
-    for batch, counts in zip(np.split(rows, cuts), np.split(hits, cuts)):
-        _scatter_min(lpf, p[batch], first[batch], counts, pos[batch])
+    for batch, batch_hits in zip(np.split(rows, cuts), np.split(hits, cuts)):
+        _scatter_min(lpf, p[batch], first[batch], batch_hits, pos[batch])
     for q, start, at in zip(*(x[:split][::-1].tolist() for x in (p, first, pos))):
         lpf[start::q] = at
     counts = np.bincount(lpf, minlength=unstruck + 1)
-    # the units, the zeros and the primes the histogram keys are at most key_cap
+    # the units, the zeros and each prime keyed as its own lpf are at most key_cap
     small = np.flatnonzero(values <= key_cap)
     v, at = values[small], lpf[small]
     below = at[v < 1]
