@@ -4,6 +4,14 @@ One line per run, schema-versioned, keyed by (a, b, c, N). Numeric payload
 fields round-trip exactly through json (ints stay ints, floats via repr
 semantics); the timestamp is carried but excluded from key lookups and
 comparisons so reruns can be diffed against history.
+
+The readers keep the last log they read: its bytes through the last newline,
+the record of each line in them, and the latest record per key. A log whose
+bytes still start with those bytes is read by parsing only what follows, so
+repeated reads of a growing log parse each line once, and every line is
+still validated. Anything else is parsed whole. A partial last line is parsed
+on every read and kept by none. Bytes that are not UTF-8, and a path that
+exists but cannot be read, raise SpecParseError, as a bad line does.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ import json
 import os
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
-from typing import Iterator
 
 from .errors import SpecParseError
 
@@ -72,10 +79,6 @@ _FIELD_NAMES = {f.name for f in fields(RunRecord)}
 
 
 def from_json_line(line: str) -> RunRecord:
-    return RunRecord(**_checked_fields(line))
-
-
-def _checked_fields(line: str) -> dict:
     try:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -91,7 +94,7 @@ def _checked_fields(line: str) -> dict:
     missing = _FIELD_NAMES - set(raw)
     if missing:
         raise SpecParseError(f"missing record fields {sorted(missing)}")
-    return raw
+    return RunRecord(**raw)
 
 
 def append_record(path: str, record: RunRecord) -> None:
@@ -105,21 +108,61 @@ def append_record(path: str, record: RunRecord) -> None:
         raise SpecParseError(f"cannot write records {path}: {exc}") from None
 
 
-def _lines(path: str) -> Iterator[str]:
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            yield from filter(None, map(str.strip, fh))
+@dataclass
+class _Log:
+    """The records of a log's bytes through its last newline."""
+
+    data: bytes
+    rows: list[RunRecord]
+    latest: dict[RunKey, RunRecord]
+
+
+# the last log read; replaced or extended only by a read that raised nothing
+_memo = _Log(b"", [], {})
+
+
+def _read(path: str) -> tuple[_Log, RunRecord | None]:
+    """The log brought up to date with the file, and the record of a partial
+    last line, if there is one. A missing file reads as empty."""
+    global _memo
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        if not os.path.exists(path):
+            return _Log(b"", [], {}), None
+        raise SpecParseError(f"cannot read records {path}: {exc}") from None
+    log = _memo if data.startswith(_memo.data) else _Log(b"", [], {})
+    start = len(log.data)
+    # UTF-8 never puts \n or \r inside a character, so the tail decodes alone
+    end = max(data.rfind(b"\n", start), data.rfind(b"\r", start)) + 1
+    try:
+        tail = data[start:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecParseError(
+            f"cannot read records {path}: not UTF-8 at byte {start + exc.start}") from None
+    # the lines text-mode reading gives: universal newlines, stripped, blanks skipped
+    *lines, last = tail.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = [from_json_line(line) for line in map(str.strip, lines) if line]
+    last = last.strip()
+    partial = from_json_line(last) if last else None
+    if end > start:
+        log.data = data[:end]
+        log.rows.extend(rows)
+        log.latest.update((row.key, row) for row in rows)
+    _memo = log
+    return log, partial
 
 
 def load_records(path: str) -> list[RunRecord]:
-    return [from_json_line(line) for line in _lines(path)]
+    log, partial = _read(path)
+    return log.rows + ([] if partial is None else [partial])
 
 
 def find_latest(path: str, key: RunKey) -> RunRecord | None:
     """Most recent record for (a, b, c, N); the log is append-only so the
-    last match wins. Every line is checked, but only the match is built."""
-    found = None
-    for raw in map(_checked_fields, _lines(path)):
-        if (raw["a"], raw["b"], raw["c"], raw["n_value"]) == key:
-            found = raw
-    return None if found is None else RunRecord(**found)
+    last match wins. Every line of the log has been checked."""
+    log, partial = _read(path)
+    if partial is not None and partial.key == key:
+        return partial
+    return log.latest.get(key)

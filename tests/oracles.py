@@ -9,6 +9,7 @@ so a bug in the package cannot hide in its own oracle.
 from __future__ import annotations
 
 import math
+import os
 import random
 from math import gcd, isqrt
 
@@ -231,3 +232,24 @@ def l_value_positive(d: int) -> float:
     """L(1, chi_d) for a fundamental d > 0 by the class-number formula
     2*h*log(eps)/sqrt(d), written as h+ * log(eps+) / sqrt(d)."""
     return narrow_class_number(d) * log_totally_positive_unit(d) / math.sqrt(d)
+
+
+def reparsed_records(path: str, parse) -> list:
+    """Every record of a run log by a full reparse in text mode: universal
+    newlines, each line stripped, blank lines skipped, each line given to
+    parse (records.from_json_line, passed in so nothing here imports the
+    package). A missing file has none. The reference for the incremental
+    readers records.load_records and records.find_latest."""
+    if not os.path.exists(path):
+        return []
+    with open(path, encoding="utf-8") as fh:
+        return [parse(line) for line in filter(None, map(str.strip, fh))]
+
+
+def reparsed_latest(path: str, key: tuple, parse):
+    """The last record of the log with this key, or None."""
+    found = None
+    for record in reparsed_records(path, parse):
+        if record.key == key:
+            found = record
+    return found
