@@ -321,27 +321,16 @@ def _chi_upto(d: int, limit: int) -> np.ndarray:
     return chi
 
 
-# (x, builder, table) of the last period table built: analyze and scan ask for
-# the table of one delta twice, for the root table and for V
-_period_memo: tuple = (None, None, None)
-
-
 def _chi_by_period(x: int, p: np.ndarray) -> np.ndarray | None:
     """(x/p) for each prime p (1 at p = 2) by one gather from a table of
     chi_x mod |x| when x = 0, 1 (mod 4) and 0 < |x| <= p.size, else None.
     n -> (x/n) has period |x| for such x (H. Cohen, GTM 138, Sec. 1.4), and
     the table is built by Euler's criterion on fewer than |x| primes."""
-    global _period_memo
     m = abs(x)
     if x % 4 > 1 or not 0 < m <= p.size:
         return None
-    memo_x, builder, table = _period_memo
-    # keyed on the builder too, so a replaced _chi_upto is always called
-    if memo_x != x or builder is not _chi_upto:
-        table = _chi_upto(x, m)
-        table[0] = table[m]  # chi(|x|): 0, or 1 for x = 1
-        table.setflags(write=False)
-        _period_memo = (x, _chi_upto, table)
+    table = _chi_upto(x, m)
+    table[0] = table[m]  # chi(|x|): 0, or 1 for x = 1
     chi = table[p % m].astype(np.int64)
     chi[p == 2] = 1
     return chi

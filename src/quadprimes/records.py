@@ -5,13 +5,12 @@ fields round-trip exactly through json (ints stay ints, floats via repr
 semantics); the timestamp is carried but excluded from key lookups and
 comparisons so reruns can be diffed against history.
 
-The readers keep the last log they read: its bytes through the last newline,
-the record of each line in them, and the latest record per key. A log whose
-bytes still start with those bytes is read by parsing only what follows, so
-repeated reads of a growing log parse each line once, and every line is
-still validated. Anything else is parsed whole. A partial last line is parsed
-on every read and kept by none. Bytes that are not UTF-8, and a path that
-exists but cannot be read, raise SpecParseError, as a bad line does.
+The readers keep the last log they read: its bytes, the record of each line
+in them, and the latest record per key. A file whose bytes equal those is
+answered from them, so reading a log back once per key parses each line
+once; any other file is parsed whole, and every line is validated. Bytes
+that are not UTF-8, and a path that exists but cannot be read, raise
+SpecParseError, as a bad line does.
 """
 
 from __future__ import annotations
@@ -108,61 +107,51 @@ def append_record(path: str, record: RunRecord) -> None:
         raise SpecParseError(f"cannot write records {path}: {exc}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Log:
-    """The records of a log's bytes through its last newline."""
+    """The records of a log's bytes: one per non-blank line, and the latest
+    one per key."""
 
     data: bytes
     rows: list[RunRecord]
     latest: dict[RunKey, RunRecord]
 
 
-# the last log read; replaced or extended only by a read that raised nothing
-_memo = _Log(b"", [], {})
+_EMPTY = _Log(b"", [], {})
+# the last log read; replaced only by a read that raised nothing
+_memo = _EMPTY
 
 
-def _read(path: str) -> tuple[_Log, RunRecord | None]:
-    """The log brought up to date with the file, and the record of a partial
-    last line, if there is one. A missing file reads as empty."""
+def _read(path: str) -> _Log:
+    """The records of the file as it is now, parsed only if its bytes differ
+    from the last log read. A missing file reads as empty."""
     global _memo
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         if not os.path.exists(path):
-            return _Log(b"", [], {}), None
+            return _EMPTY
         raise SpecParseError(f"cannot read records {path}: {exc}") from None
-    log = _memo if data.startswith(_memo.data) else _Log(b"", [], {})
-    start = len(log.data)
-    # UTF-8 never puts \n or \r inside a character, so the tail decodes alone
-    end = max(data.rfind(b"\n", start), data.rfind(b"\r", start)) + 1
+    if data == _memo.data:
+        return _memo
     try:
-        tail = data[start:].decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SpecParseError(
-            f"cannot read records {path}: not UTF-8 at byte {start + exc.start}") from None
+            f"cannot read records {path}: not UTF-8 at byte {exc.start}") from None
     # the lines text-mode reading gives: universal newlines, stripped, blanks skipped
-    *lines, last = tail.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     rows = [from_json_line(line) for line in map(str.strip, lines) if line]
-    last = last.strip()
-    partial = from_json_line(last) if last else None
-    if end > start:
-        log.data = data[:end]
-        log.rows.extend(rows)
-        log.latest.update((row.key, row) for row in rows)
-    _memo = log
-    return log, partial
+    _memo = _Log(data, rows, {row.key: row for row in rows})
+    return _memo
 
 
 def load_records(path: str) -> list[RunRecord]:
-    log, partial = _read(path)
-    return log.rows + ([] if partial is None else [partial])
+    return list(_read(path).rows)
 
 
 def find_latest(path: str, key: RunKey) -> RunRecord | None:
     """Most recent record for (a, b, c, N); the log is append-only so the
     last match wins. Every line of the log has been checked."""
-    log, partial = _read(path)
-    if partial is not None and partial.key == key:
-        return partial
-    return log.latest.get(key)
+    return _read(path).latest.get(key)

@@ -238,7 +238,7 @@ def reparsed_records(path: str, parse) -> list:
     """Every record of a run log by a full reparse in text mode: universal
     newlines, each line stripped, blank lines skipped, each line given to
     parse (records.from_json_line, passed in so nothing here imports the
-    package). A missing file has none. The reference for the incremental
+    package). A missing file has none. The reference for the memoised
     readers records.load_records and records.find_latest."""
     if not os.path.exists(path):
         return []

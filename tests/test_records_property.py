@@ -1,4 +1,4 @@
-"""Property test of the incremental record readers against a full reparse,
+"""Property test of the memoised record readers against a full reparse,
 over random sequences of appends, same-length rewrites and truncations of
 one log. Kept apart from test_records because it needs hypothesis, the
 optional test extra; derandomized, so every run draws the same cases."""
