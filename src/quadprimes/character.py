@@ -34,7 +34,7 @@ from .errors import (
     ToleranceUnreachable,
     UndefinedSymbol,
 )
-from .polynomial import AdmissiblePolynomial, _chi_upto
+from .polynomial import AdmissiblePolynomial, _chi_upto, _ragged_blocks
 from .primes import TRIAL_DIVISION_LIMIT, factorize, is_prime, trial_division
 
 # the most series terms l_one builds; 9e6 terms peak at about 90 MB
@@ -48,6 +48,8 @@ TERM_ULPS = 32
 _EPS = 2.0**-52
 # series terms evaluated per array, so that no array outgrows a few MB
 _BLOCK = 1 << 16
+# (b, a) pairs tested per array in class_number, 128 KB per int64 array
+_FORM_BLOCK = 1 << 14
 
 
 def kronecker(delta: int, n: int) -> int:
@@ -231,21 +233,30 @@ def is_fundamental_discriminant(delta: int) -> bool:
 
 
 def class_number(delta: int) -> int:
-    """h(delta) for delta < 0 by enumeration of reduced binary quadratic forms
-    (a, b, c): b^2 - 4ac = delta, |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    """h(delta) for a discriminant delta < 0: the number of reduced primitive
+    forms (a, b, c), b^2 - 4ac = delta, |b| <= a <= c, b >= 0 when |b| = a or
+    a = c, and gcd(a, b, c) = 1 (every form of a fundamental delta is
+    primitive). The pairs (b, a) with b = delta (mod 2), 3b^2 <= |delta| and
+    max(b, 1) <= a <= sqrt((b^2 - delta)/4) are tested over arrays,
+    _FORM_BLOCK pairs at a time. Raises NotADiscriminant unless delta = 0, 1
+    (mod 4)."""
     if delta >= 0:
         raise ValueError("class_number expects delta < 0")
+    _require_discriminant(delta)
+    b = np.arange(delta % 2, isqrt(-delta // 3) + 1, 2, dtype=np.int64)
+    m = (b * b - delta) // 4
+    low = np.maximum(b, 1)
+    top = np.fromiter(map(isqrt, m.tolist()), np.int64, m.size)
     h = 0
-    b = delta % 2
-    while 3 * b * b <= -delta:
-        m = (b * b - delta) // 4
-        a = max(b, 1)
-        while a * a <= m:
-            if m % a == 0:
-                # forms (a, +-b, m//a); the +-b pair collapses on the boundary
-                h += 1 if (b == 0 or a == b or a * a == m) else 2
-            a += 1
-        b += 2
+    for rows, j in _ragged_blocks(top - low + 1, _FORM_BLOCK):
+        a = low[rows] + j
+        hit = np.flatnonzero(m[rows] % a == 0)
+        a, rows = a[hit], rows[hit]
+        b_a, c = b[rows], m[rows] // a
+        primitive = np.gcd(np.gcd(a, b_a), c) == 1
+        # forms (a, +-b, c); the +-b pair collapses on the boundary
+        pair = primitive & (b_a != 0) & (a != b_a) & (a != c)
+        h += int(np.count_nonzero(primitive)) + int(np.count_nonzero(pair))
     return h
 
 

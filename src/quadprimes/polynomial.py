@@ -218,6 +218,9 @@ _NON_RESIDUE_CANDIDATES = tuple(
     (ell, np.isin(np.arange(ell), np.arange(ell) ** 2 % ell))
     for ell in (3, 5, 7, 11, 13, 17, 19, 23)
 )
+# (p, k) pairs per gather in _chi_upto, 512 KB per int64 index array; a
+# gather takes whole k, so k = 1 alone holds every prime above sqrt(limit)
+_CHI_GATHER = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,9 +300,25 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
     return result
 
 
+def _ragged_blocks(width: np.ndarray, block: int):
+    """Yield (rows, j) over the flat pairs (row, j), 0 <= j < width[row], in
+    runs of whole rows that hold at most block pairs (a longer row alone)."""
+    ends = np.cumsum(width)
+    first = ends - width
+    row = 0
+    while row < width.size:
+        stop = max(int(np.searchsorted(ends, first[row] + block, side="right")), row + 1)
+        rows = np.repeat(np.arange(row, stop), width[row:stop])
+        yield rows, np.arange(first[row], ends[stop - 1]) - first[rows]
+        row = stop
+
+
 def _chi_upto(d: int, limit: int) -> np.ndarray:
     """chi_d(n) for 0 <= n <= limit as int8: on primes by legendre (p = 2
-    from d mod 8), then on every n by complete multiplicativity."""
+    from d mod 8), then on every n by complete multiplicativity: a loop over
+    the powers of each prime up to sqrt(limit), then a gather over the pairs
+    (p, k) with p above sqrt(limit) and p*k <= limit, at most _CHI_GATHER
+    pairs per gather (one gather for every limit up to 10^5)."""
     primes = np.array(primes_upto(limit), dtype=np.int64)
     chi_p = legendre(d, primes).astype(np.int8)
     chi_p[:1] = (0, 1, 0, -1, 0, -1, 0, 1)[d % 8]  # the Kronecker symbol (d/2)
@@ -313,11 +332,12 @@ def _chi_upto(d: int, limit: int) -> np.ndarray:
             chi[power::power] *= c
             power *= p
     # a prime p above sqrt(limit) divides n <= limit once, as n = p*k with
-    # k < p, so one pass per cofactor k covers all of them
+    # k < p, so no n occurs twice among the pairs (p, k) and a fancy-index
+    # multiply applies each factor once
     big, chi_big = primes[small:], chi_p[small:]
-    for k in range(1, limit // (root + 1) + 1):
-        count = np.searchsorted(big, limit // k, side="right")
-        chi[big[:count] * k] *= chi_big[:count]
+    k = np.arange(1, limit // (root + 1) + 1)
+    for rows, j in _ragged_blocks(np.searchsorted(big, limit // k, side="right"), _CHI_GATHER):
+        chi[big[j] * k[rows]] *= chi_big[j]
     return chi
 
 

@@ -164,6 +164,24 @@ def partial_sum_l_value(delta: int, tol: float) -> tuple[float, float]:
     return math.fsum((period[n % q] / n).tolist()), 2.0 * k_bound / (m_cut + 1)
 
 
+def class_number_negative(d: int) -> int:
+    """h(d) for a discriminant d < 0: reduced primitive forms (a, b, c) with
+    b^2 - 4ac = d, |b| <= a <= c, b >= 0 when |b| = a or a = c, counted by a
+    scalar loop over b and a."""
+    h = 0
+    b = d % 2
+    while 3 * b * b <= -d:
+        m = (b * b - d) // 4
+        a = max(b, 1)
+        while a * a <= m:
+            if m % a == 0 and gcd(gcd(a, b), m // a) == 1:
+                # forms (a, +-b, m//a); the +-b pair collapses on the boundary
+                h += 1 if (b == 0 or a == b or a * a == m) else 2
+            a += 1
+        b += 2
+    return h
+
+
 def _rho(d: int, form: tuple[int, int, int]) -> tuple[int, int, int]:
     """The reduction operator on an indefinite form: (c, b', (b'^2 - d)/4c)
     with b' = -b (mod 2|c|) and sqrt(d) - 2|c| < b' < sqrt(d)."""

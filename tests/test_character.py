@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from quadprimes import character
 from quadprimes.character import (
     _chi_upto,
     _fundamental_part,
@@ -28,6 +29,7 @@ from quadprimes.polynomial import validate
 
 from oracles import (
     SMALL_PRIMES,
+    class_number_negative,
     euler_symbol,
     kronecker_symbol,
     l_value_positive,
@@ -89,9 +91,10 @@ def test_is_discriminant():
 
 
 def test_chi_table_matches_symbol():
-    # the limits cross a prime square and leave primes above sqrt(limit)
-    for delta in (-163, -15, -4, -3, 5, 8, 12, 21, -3999971):
-        for limit in (1, 2, 3, 4, 10, 48, 49, 50, 1000):
+    # the limits cross a prime square and leave primes above sqrt(limit);
+    # 3568, the series length at |Delta| near 4e6, has about 60 cofactors k
+    for delta in (-163, -15, -4, -3, 5, 8, 12, 21, -3999971, 3999997):
+        for limit in (1, 2, 3, 4, 10, 48, 49, 50, 1000, 3568):
             table = _chi_upto(delta, limit).tolist()
             assert table == [kronecker(delta, n) for n in range(limit + 1)], (delta, limit)
 
@@ -224,11 +227,43 @@ def test_fundamental_part_of_cofactors_beyond_trial_division():
 
 
 def test_class_number_goldens():
+    # the non-fundamental values follow from the order class-number formula
+    # h(D f^2) = h(D) f / [O* : O_f*] * prod over p | f of (1 - chi_D(p)/p)
     goldens = {-3: 1, -4: 1, -7: 1, -8: 1, -11: 1, -15: 2, -20: 2, -23: 3,
-               -47: 5, -163: 1, -9999: 88}
+               -47: 5, -163: 1, -9999: 88, -12: 1, -16: 1, -27: 1, -28: 1,
+               -36: 2, -44: 3}
     for delta, h in goldens.items():
-        if is_fundamental_discriminant(delta):
-            assert class_number(delta) == h, delta
+        assert class_number(delta) == h, delta
+
+
+def test_class_number_refuses_non_discriminants():
+    for delta in (-1, -2, -5, -6):
+        with pytest.raises(NotADiscriminant):
+            class_number(delta)
+    with pytest.raises(ValueError):
+        class_number(5)
+
+
+def test_class_number_matches_scalar_form_count():
+    for delta in range(-3, -20001, -1):
+        if delta % 4 in (0, 1):
+            assert class_number(delta) == class_number_negative(delta), delta
+    rng = random.Random(17)
+    drawn = 0
+    while drawn < 50:
+        delta = -rng.randrange(20001, 10**6)
+        if delta % 4 in (0, 1):
+            assert class_number(delta) == class_number_negative(delta), delta
+            drawn += 1
+
+
+def test_class_number_across_block_boundaries(monkeypatch):
+    # blocks of whole b-rows: smaller than one row, a few rows, and rows
+    # split unevenly between blocks
+    for block in (1, 5, 64, 1000):
+        monkeypatch.setattr(character, "_FORM_BLOCK", block)
+        for delta in (-3, -4, -2087, -9999, -20000, -31415, -123456, -999995):
+            assert class_number(delta) == class_number_negative(delta), (block, delta)
 
 
 def test_is_fundamental_discriminant():
