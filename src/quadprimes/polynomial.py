@@ -11,6 +11,7 @@ general moduli.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -300,15 +301,16 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
     return result
 
 
-def _ragged_blocks(width: np.ndarray, block: int):
+def _ragged_blocks(width: np.ndarray, block: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (rows, j) over the flat pairs (row, j), 0 <= j < width[row], in
     runs of whole rows that hold at most block pairs (a longer row alone)."""
-    ends = np.cumsum(width)
+    # array methods skip the np.* wrappers, whose cost shows on tiny tables
+    ends = width.cumsum()
     first = ends - width
     row = 0
     while row < width.size:
-        stop = max(int(np.searchsorted(ends, first[row] + block, side="right")), row + 1)
-        rows = np.repeat(np.arange(row, stop), width[row:stop])
+        stop = max(int(ends.searchsorted(first[row] + block, "right")), row + 1)
+        rows = np.arange(row, stop).repeat(width[row:stop])
         yield rows, np.arange(first[row], ends[stop - 1]) - first[rows]
         row = stop
 
@@ -336,7 +338,7 @@ def _chi_upto(d: int, limit: int) -> np.ndarray:
     # multiply applies each factor once
     big, chi_big = primes[small:], chi_p[small:]
     k = np.arange(1, limit // (root + 1) + 1)
-    for rows, j in _ragged_blocks(np.searchsorted(big, limit // k, side="right"), _CHI_GATHER):
+    for rows, j in _ragged_blocks(big.searchsorted(limit // k, "right"), _CHI_GATHER):
         chi[big[j] * k[rows]] *= chi_big[j]
     return chi
 

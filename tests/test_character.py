@@ -258,8 +258,8 @@ def test_class_number_matches_scalar_form_count():
 
 
 def test_class_number_across_block_boundaries(monkeypatch):
-    # blocks of whole b-rows: smaller than one row, a few rows, and rows
-    # split unevenly between blocks
+    # a block holds whole b-rows: here less than one row (each row alone),
+    # a few rows, and many, so blocks end after every kind of row
     for block in (1, 5, 64, 1000):
         monkeypatch.setattr(character, "_FORM_BLOCK", block)
         for delta in (-3, -4, -2087, -9999, -20000, -31415, -123456, -999995):
