@@ -20,7 +20,6 @@ from math import isqrt
 
 import numpy as np
 
-from .character import kronecker
 from .errors import BudgetExceeded, DegenerateMainTerm
 from .polynomial import (
     AdmissiblePolynomial,
@@ -161,7 +160,7 @@ def v_product(
         primes = table.primes[: np.searchsorted(table.primes, z)]
         rho = (table.roots[: primes.size] >= 0).sum(axis=1)
     if not own or table.limit < limit:
-        more = np.array(primes_upto(limit)[primes.size :], dtype=np.int64)
+        more = primes_upto(limit)[primes.size :]
         primes, rho = np.concatenate((primes, more)), np.concatenate((rho, prime_rho(f, more)))
     keep = rho > 0
     primes, rho = primes[keep], rho[keep]
@@ -174,11 +173,10 @@ def w_product(
     delta: int, u: float, *, prime_budget: int = DEFAULT_PRIME_BUDGET
 ) -> float:
     """W(u) = prod_{p < u} (1 - 1/p)(1 - chi_Delta(p)/p), rounded to the
-    nearest double as V is; chi_Delta(p) by Euler's criterion for odd p."""
+    nearest double as V is; chi_Delta(p) from legendre."""
     _check_prime_range(u, prime_budget)
-    primes = np.array(primes_upto(math.ceil(u) - 1), dtype=np.int64)
+    primes = primes_upto(math.ceil(u) - 1)
     chi = legendre(delta, primes)
-    chi[:1] = kronecker(delta, 2)
     return _product_of_quotients(
         np.concatenate((primes - 1, primes - chi)), np.concatenate((primes, primes))
     )
@@ -188,17 +186,16 @@ def delta_sum(
     delta: int, x: float, a_count: int, *, prime_budget: int = DEFAULT_PRIME_BUDGET
 ) -> float:
     """delta(x) = sum_{x <= p <= A} lambda(p)/p with lambda(p) = 1 + chi_Delta(p),
-    summed exactly and rounded once by math.fsum; chi_Delta(p) by Euler's
-    criterion for odd p. Zero when x > A."""
+    summed exactly and rounded once by math.fsum; chi_Delta(p) from
+    legendre. Zero when x > A."""
     if x < 2:
         raise ValueError("x must be >= 2")
     if a_count < 1:
         raise ValueError("a_count must be >= 1")
     if a_count > prime_budget:
         raise BudgetExceeded(f"prime enumeration to {a_count} exceeds budget {prime_budget}")
-    primes = np.array(primes_upto(a_count), dtype=np.int64)
+    primes = primes_upto(a_count)
     chi = legendre(delta, primes)
-    chi[:1] = kronecker(delta, 2)
     keep = primes >= x
     return math.fsum(((1 + chi[keep]) / primes[keep]).tolist())
 
@@ -251,7 +248,7 @@ def buchstab(
 
     hist = res.lpf_histogram
     per_prime = []
-    for p in primes_upto(isqrt(n_value)):
+    for p in primes_upto(isqrt(n_value)).tolist():
         if p < z or (not include_sqrt_n and p * p == n_value):
             continue
         per_prime.append((p, hist.get(p, 0)))

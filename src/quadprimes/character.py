@@ -121,10 +121,10 @@ def lambda_(delta: int, n: int) -> int:
 def _fundamental_part(delta: int) -> tuple[int, list[int]]:
     """(D, the primes dividing m) with delta = D*m^2 and D fundamental.
 
-    Trial division leaves a cofactor with no prime factor up to
-    TRIAL_DIVISION_LIMIT, so below TRIAL_DIVISION_LIMIT^3 it is p, p^2 or
-    p*q: a square exactly when it is p^2, squarefree otherwise. A composite
-    cofactor at or above that raises FactorizationOverflow."""
+    Trial division leaves a cofactor that is 1, a prime, or free of primes
+    up to TRIAL_DIVISION_LIMIT, so below TRIAL_DIVISION_LIMIT^3 it is p, p^2
+    or p*q: a square exactly when it is p^2, squarefree otherwise. A
+    composite cofactor at or above that raises FactorizationOverflow."""
     factors, rem = trial_division(abs(delta))
     if rem >= TRIAL_DIVISION_LIMIT**3 and not is_prime(rem):
         raise FactorizationOverflow(f"composite cofactor {rem} exceeds trial division range")

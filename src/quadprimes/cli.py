@@ -474,7 +474,7 @@ def _random_poly(rng: random.Random):
 
 
 def _check_kronecker_euler(rng: random.Random) -> str:
-    odd_primes = [p for p in primes_upto(500) if p > 2]
+    odd_primes = primes_upto(500)[1:].tolist()
     trials = 0
     for _ in range(400):
         delta = rng.randint(-400, 400)
@@ -495,7 +495,7 @@ def _check_kronecker_euler(rng: random.Random) -> str:
 
 
 def _check_roots_vs_enumeration(rng: random.Random) -> str:
-    plist = primes_upto(97)
+    plist = primes_upto(97).tolist()
     trials = 0
     for _ in range(40):
         f = _random_poly(rng)

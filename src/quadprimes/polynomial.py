@@ -26,7 +26,7 @@ from .errors import (
     SquareDiscriminant,
     ZeroLeadingCoefficient,
 )
-from .primes import factorize, is_prime, primes_upto, sqrt_mod_prime
+from .primes import _mod_each, factorize, is_prime, primes_upto, sqrt_mod_prime
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def prime_root_table(f: AdmissiblePolynomial, limit: int) -> PrimeRootTable:
     The primes come from a sieve, so none is tested again. Raises
     BudgetExceeded for limit > MAX_TABLE_PRIME before allocating."""
     check_table_limit(limit)
-    primes = np.array(primes_upto(limit), dtype=np.int64)
+    primes = primes_upto(limit)
     return PrimeRootTable(f, limit, primes, _root_rows(f, primes))
 
 
@@ -280,17 +280,6 @@ def prime_rho(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _mod_each(x: int, p: np.ndarray) -> np.ndarray:
-    """x mod each p < 2^32 for a Python int x of any size. An x outside
-    int64 is reduced 30 bits at a time, so r * 2^30 + limb stays below 2^63."""
-    if -(2**63) <= x < 2**63:
-        return x % p
-    m, r = abs(x), np.zeros_like(p)
-    for shift in range(m.bit_length() // 30 * 30, -1, -30):
-        r = ((r << 30) + ((m >> shift) & (2**30 - 1))) % p
-    return r if x > 0 else -r % p
-
-
 def _pow_mod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
     """base**exp mod p elementwise by square-and-multiply over the bits of exp."""
     result = np.ones_like(base)
@@ -316,14 +305,13 @@ def _ragged_blocks(width: np.ndarray, block: int) -> Iterator[tuple[np.ndarray, 
 
 
 def _chi_upto(d: int, limit: int) -> np.ndarray:
-    """chi_d(n) for 0 <= n <= limit as int8: on primes by legendre (p = 2
-    from d mod 8), then on every n by complete multiplicativity: a loop over
-    the powers of each prime up to sqrt(limit), then a gather over the pairs
-    (p, k) with p above sqrt(limit) and p*k <= limit, at most _CHI_GATHER
-    pairs per gather (one gather for every limit up to 10^5)."""
-    primes = np.array(primes_upto(limit), dtype=np.int64)
+    """chi_d(n) for 0 <= n <= limit as int8: on primes by legendre, then on
+    every n by complete multiplicativity: a loop over the powers of each
+    prime up to sqrt(limit), then a gather over the pairs (p, k) with p
+    above sqrt(limit) and p*k <= limit, at most _CHI_GATHER pairs per
+    gather (one gather for every limit up to 10^5)."""
+    primes = primes_upto(limit)
     chi_p = legendre(d, primes).astype(np.int8)
-    chi_p[:1] = (0, 1, 0, -1, 0, -1, 0, 1)[d % 8]  # the Kronecker symbol (d/2)
     chi = np.ones(limit + 1, dtype=np.int8)
     chi[0] = 0
     root = isqrt(limit)
@@ -344,7 +332,7 @@ def _chi_upto(d: int, limit: int) -> np.ndarray:
 
 
 def _chi_by_period(x: int, p: np.ndarray) -> np.ndarray | None:
-    """(x/p) for each prime p (1 at p = 2) by one gather from a table of
+    """(x/p) for each prime p by one gather from a table of
     chi_x mod |x| when x = 0, 1 (mod 4) and 0 < |x| <= p.size, else None.
     n -> (x/n) has period |x| for such x (H. Cohen, GTM 138, Sec. 1.4), and
     the table is built by Euler's criterion on fewer than |x| primes."""
@@ -353,16 +341,15 @@ def _chi_by_period(x: int, p: np.ndarray) -> np.ndarray | None:
         return None
     table = _chi_upto(x, m)
     table[0] = table[m]  # chi(|x|): 0, or 1 for x = 1
-    chi = table[p % m].astype(np.int64)
-    chi[p == 2] = 1
-    return chi
+    return table[p % m].astype(np.int64)
 
 
 def legendre(x: int, p: np.ndarray) -> np.ndarray:
-    """(x/p) in {-1, 0, 1} for each odd prime p <= MAX_TABLE_PRIME (1 at
-    p = 2): from a period table where _chi_by_period applies, else by
-    Euler's criterion x^((p-1)/2) mod p. There, any power other than 0, 1 or
-    p - 1 shows that p is not prime and raises ConsistencyError."""
+    """The Kronecker symbol (x/p) in {-1, 0, 1} for each prime
+    p <= MAX_TABLE_PRIME: from a period table where _chi_by_period applies,
+    else by Euler's criterion x^((p-1)/2) mod p for odd p and from x mod 8
+    for p = 2. There, any power other than 0, 1 or p - 1 shows that p is not
+    prime and raises ConsistencyError."""
     chi = _chi_by_period(x, p)
     if chi is not None:
         return chi
@@ -371,6 +358,7 @@ def legendre(x: int, p: np.ndarray) -> np.ndarray:
     if bad.any():
         q = int(p[np.flatnonzero(bad)[0]])
         raise ConsistencyError(f"Euler's criterion for {x} fails mod {q}: {q} is not prime")
+    euler[p == 2] = (0, 1, 0, -1, 0, -1, 0, 1)[x % 8]  # (x/2); Euler's x^0 is 1 there
     return np.where(euler > 1, -1, euler)
 
 

@@ -1,5 +1,10 @@
-"""Prime utilities: cached Eratosthenes sieve, deterministic Miller-Rabin,
-trial-division factorization and modular square roots (Tonelli-Shanks)."""
+"""Prime utilities: one cached Eratosthenes sieve, read as int64 arrays,
+deterministic Miller-Rabin, trial-division factorization and modular square
+roots (Tonelli-Shanks).
+
+Every layer reads its primes from primes_upto, a read-only prefix of one
+cached int64 array, so no caller converts, copies or mutates the sieve.
+"""
 
 from __future__ import annotations
 
@@ -13,14 +18,16 @@ from .errors import FactorizationOverflow
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _sieve_limit = 0
-_sieve_primes: list[int] = []
+_sieve_primes = np.zeros(0, dtype=np.int64)
 
 # factorize() refuses to trial divide past this point
 TRIAL_DIVISION_LIMIT = 10**6
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n, from a cached sieve that grows geometrically."""
+def primes_upto(n: int) -> np.ndarray:
+    """All primes <= n, ascending, as a read-only int64 view of one cached
+    array from a sieve that grows geometrically: a smaller call shares the
+    memory of a larger one, and a write raises ValueError."""
     global _sieve_limit, _sieve_primes
     if n > _sieve_limit:
         limit = max(n, 2 * _sieve_limit, 1 << 10)
@@ -29,13 +36,21 @@ def primes_upto(n: int) -> list[int]:
         for p in range(2, isqrt(limit) + 1):
             if flags[p]:
                 flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-        _sieve_primes = np.flatnonzero(np.frombuffer(flags, np.uint8)).tolist()
+        _sieve_primes = np.flatnonzero(np.frombuffer(flags, np.uint8)).astype(np.int64, copy=False)
+        _sieve_primes.flags.writeable = False
         _sieve_limit = limit
-    if n == _sieve_limit:
-        return _sieve_primes
-    from bisect import bisect_right
+    return _sieve_primes[: _sieve_primes.searchsorted(n, "right")]
 
-    return _sieve_primes[: bisect_right(_sieve_primes, n)]
+
+def _mod_each(x: int, p: np.ndarray) -> np.ndarray:
+    """x mod each p < 2^32 for a Python int x of any size. An x outside
+    int64 is reduced 30 bits at a time, so r * 2^30 + limb stays below 2^63."""
+    if -(2**63) <= x < 2**63:
+        return x % p
+    m, r = abs(x), np.zeros_like(p)
+    for shift in range(m.bit_length() // 30 * 30, -1, -30):
+        r = ((r << 30) + ((m >> shift) & (2**30 - 1))) % p
+    return r if x > 0 else -r % p
 
 
 def is_prime(n: int) -> bool:
@@ -64,23 +79,21 @@ def is_prime(n: int) -> bool:
 
 def trial_division(n: int) -> tuple[list[tuple[int, int]], int]:
     """([(p, e), ...], cofactor) for n >= 1: the prime powers p^e of n with p
-    up to TRIAL_DIVISION_LIMIT, p increasing, and the cofactor left. A
-    cofactor > 1 is prime when it is at most TRIAL_DIVISION_LIMIT^2, and
-    otherwise has no prime factor up to TRIAL_DIVISION_LIMIT."""
+    up to min(sqrt(n), TRIAL_DIVISION_LIMIT), p increasing, and the cofactor
+    left, which is 1 or has no prime factor up to that bound. A cofactor > 1
+    is therefore prime when it is at most TRIAL_DIVISION_LIMIT^2. The primes
+    dividing n are found by one array remainder; only they are divided out."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: list[tuple[int, int]] = []
     rem = n
-    if rem >= 2:
-        for p in primes_upto(min(isqrt(rem), TRIAL_DIVISION_LIMIT)):
-            if p * p > rem:
-                break
-            if rem % p == 0:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                out.append((p, e))
+    primes = primes_upto(min(isqrt(n), TRIAL_DIVISION_LIMIT))
+    for p in primes[_mod_each(n, primes) == 0].tolist():
+        e = 0
+        while rem % p == 0:
+            rem //= p
+            e += 1
+        out.append((p, e))
     return out, rem
 
 

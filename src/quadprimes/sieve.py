@@ -28,13 +28,12 @@ from .polynomial import (
     AdmissiblePolynomial,
     EnumerationDomain,
     PrimeRootTable,
-    _mod_each,
     enumeration_domain,
     prime_root_table,
     roots_mod,
     roots_mod_prime,  # noqa: F401  (unused here; bench/tracer.py wraps this name)
 )
-from .primes import is_prime, primes_upto  # noqa: F401  (primes_upto: as above)
+from .primes import _mod_each, is_prime, primes_upto  # noqa: F401  (primes_upto: as above)
 
 DEFAULT_MAX_N = 10**12
 DEFAULT_MAX_SIEVE_PRIME = 2 * 10**6
@@ -116,24 +115,19 @@ def _segment_counts(
     f: AdmissiblePolynomial,
     lo: int,
     hi: int,
-    strikes: tuple[np.ndarray, ...] | list[tuple[int, tuple[int, ...]]],
+    strikes: tuple[np.ndarray, ...],
     key_cap: int,
 ) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
     """(pi, units, zeros, large, counts, apart) over n in [lo, hi], whose
     values must lie in [0, MAX_SAFE_N] (one below 0 falls in no count).
     counts[i] counts the values above 0 whose lpf is the prime at table
     position i; apart holds the unstruck primes at most key_cap. strikes is
-    _strike_rows' (p, r, position, prime_at), or (p, roots) pairs for the
-    primes p <= sqrt(max f) with roots, each at its list index.
+    _strike_rows' (p, r, position, prime_at).
 
     A prime with at least SLICE_HITS hits in the span strikes by a slice
     write, smallest last; the others by np.minimum.at in batches of fewer
     than 2 * length hit positions. Beside the span's arrays, only per-row
     arrays the size of strikes are allocated."""
-    if isinstance(strikes, list):
-        flat = [(p, r, i) for i, (p, rs) in enumerate(strikes) for r in rs]
-        p, r, pos = np.array(flat, np.int64).reshape(-1, 3).T
-        strikes = p, r, pos.astype(np.int32), np.array([q for q, _ in strikes] + [ABOVE_KEYS])
     p, r, pos, prime_at = strikes
     unstruck = prime_at.size - 1
     length = hi - lo + 1

@@ -32,6 +32,16 @@ def simple_sieve(limit: int) -> list[int]:
 SMALL_PRIMES = simple_sieve(_SIEVE_LIMIT)
 
 
+def strike_arrays(pairs: list[tuple[int, tuple[int, ...]]]) -> tuple[np.ndarray, ...]:
+    """The sieve kernel's strikes (p, r, int32 position, prime_at) from
+    (p, roots) pairs: each root at its pair's index, and the int64 maximum
+    as the prime past the last pair."""
+    flat = [(p, r, i) for i, (p, roots) in enumerate(pairs) for r in roots]
+    p, r, pos = np.array(flat, np.int64).reshape(-1, 3).T
+    prime_at = np.array([q for q, _ in pairs] + [np.iinfo(np.int64).max], np.int64)
+    return p, r, pos.astype(np.int32), prime_at
+
+
 def trial_is_prime(v: int) -> bool:
     """Trial division; valid for v up to _SIEVE_LIMIT**2 = 1e8."""
     if v < 2:

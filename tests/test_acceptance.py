@@ -39,6 +39,7 @@ from oracles import (
     brute_pi,
     rand_admissible,
     squarefree_upto,
+    strike_arrays,
     trial_is_prime,
 )
 
@@ -129,7 +130,7 @@ def test_05_rho_dominated_by_lambda_on_squarefree_moduli():
     factored = []
     for d in squarefree_upto(10**4):
         dd, ps = d, []
-        for p in primes_upto(100):
+        for p in primes_upto(100).tolist():
             if p * p > dd:
                 break
             if dd % p == 0:
@@ -141,8 +142,8 @@ def test_05_rho_dominated_by_lambda_on_squarefree_moduli():
     for _ in range(100):
         a, b, c = rand_admissible(rng, 30)
         f = validate(a, b, c)
-        rho_p = {p: len(roots_mod_prime(f, p).roots) for p in primes_upto(10**4)}
-        lam_p = {p: 1 + kronecker(f.delta, p) for p in primes_upto(10**4)}
+        rho_p = {p: len(roots_mod_prime(f, p).roots) for p in primes_upto(10**4).tolist()}
+        lam_p = {p: 1 + kronecker(f.delta, p) for p in primes_upto(10**4).tolist()}
         for d, ps in factored:
             rho_d = lam_d = 1
             for p in ps:
@@ -175,7 +176,7 @@ def test_06_l_function_accuracy_and_classnumber_sweep():
 def test_07_sifting_vanishes_where_character_is_minus_one():
     rng = random.Random(107)
     n_value = 10**6
-    plist = [p for p in primes_upto(10**3)]
+    plist = primes_upto(10**3).tolist()
     hits = 0
     for _ in range(50):
         a, b, c = rand_admissible(rng, 10)
@@ -211,11 +212,11 @@ def test_08_determinism_and_subrange_spot_checks_at_1e8():
         hi = lo + 10**4 - 1
         vmax = max(f(lo), f(hi))
         strikes = []
-        for p in primes_upto(isqrt(vmax)):
+        for p in primes_upto(isqrt(vmax)).tolist():
             roots = roots_mod_prime(f, p).roots
             if roots:
                 strikes.append((p, roots))
-        seg_pi = _segment_counts(f, lo, hi, strikes, isqrt(vmax))[0]
+        seg_pi = _segment_counts(f, lo, hi, strike_arrays(strikes), isqrt(vmax))[0]
         brute = sum(1 for n in range(lo, hi + 1) if trial_is_prime(f(n)))
         assert seg_pi == brute, (lo, hi)
 

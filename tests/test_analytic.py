@@ -71,13 +71,13 @@ def test_v_product_extends_a_short_table_bit_for_bit():
 
 
 def _exact_v(f, z):
-    primes = primes_upto(math.ceil(z) - 1)
+    primes = primes_upto(math.ceil(z) - 1).tolist()
     rho = [len(roots_mod_prime(f, p).roots) for p in primes]
     return float(Fraction(math.prod(p - r for p, r in zip(primes, rho)), math.prod(primes)))
 
 
 def _exact_w(delta, u):
-    primes = primes_upto(math.ceil(u) - 1)
+    primes = primes_upto(math.ceil(u) - 1).tolist()
     return float(Fraction(math.prod((p - 1) * (p - kronecker(delta, p)) for p in primes),
                           math.prod(p * p for p in primes)))
 
@@ -148,7 +148,9 @@ def test_exact_fallback_gives_the_certified_values(monkeypatch):
 
 def test_euler_criterion_refuses_a_composite(monkeypatch):
     f = validate(1, 1, 41)
-    monkeypatch.setattr(analytic, "primes_upto", lambda n: [2, 3, 5, 7, 11, 13, 15, 17, 19])
+    monkeypatch.setattr(
+        analytic, "primes_upto", lambda n: np.array([2, 3, 5, 7, 11, 13, 15, 17, 19], np.int64)
+    )
     with pytest.raises(ConsistencyError):
         v_product(f, 20)
     with pytest.raises(ConsistencyError):
@@ -191,7 +193,7 @@ def test_delta_sum_equals_the_per_prime_kronecker_sum():
     # residues 0..7 mod 8 (chi(2) from kronecker), an even fundamental Delta,
     # p | Delta for a non-fundamental one, |Delta| > 2^63, non-integer x
     deltas = (-8, 17, -6, 3, -4, -3, 6, 7, 12, -163 * 25, -(2**66 + 3), 2**70 + 1)
-    primes = primes_upto(10**5)
+    primes = primes_upto(10**5).tolist()
     for delta in deltas:
         for x in (2, 2.5, 3, 7.5, 1000.5, 99991):
             want = math.fsum([(1 + kronecker(delta, p)) / p for p in primes if p >= x])

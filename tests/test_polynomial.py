@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quadprimes import polynomial
+from quadprimes.character import kronecker
 from quadprimes.errors import (
     BudgetExceeded,
     CommonFactor,
@@ -165,7 +166,7 @@ def test_domain_membership_and_iteration():
 
 def test_roots_mod_prime_matches_enumeration():
     rng = random.Random(4)
-    plist = primes_upto(97)
+    plist = primes_upto(97).tolist()
     for _ in range(60):
         a, b, c = rand_admissible(rng, 15)
         f = validate(a, b, c)
@@ -181,11 +182,11 @@ def test_roots_mod_prime_matches_enumeration_to_1e4():
     # fewer polynomials, much larger primes: full enumeration below 2000,
     # then a random sample up to the 1e4 ceiling
     rng = random.Random(9)
-    big = [p for p in primes_upto(10**4) if p > 2000]
+    big = [p for p in primes_upto(10**4).tolist() if p > 2000]
     for _ in range(8):
         a, b, c = rand_admissible(rng, 30)
         f = validate(a, b, c)
-        for p in primes_upto(2000) + rng.sample(big, 30):
+        for p in primes_upto(2000).tolist() + rng.sample(big, 30):
             want = tuple(n for n in range(p) if poly_value(a, b, c, n) % p == 0)
             assert roots_mod_prime(f, p).roots == want, (a, b, c, p)
 
@@ -245,7 +246,7 @@ def test_rho_prime_at_most_two_and_rho2_at_most_one():
 def assert_rows_match_per_prime_solver(f, limit):
     table = prime_root_table(f, limit)
     assert table.limit == limit
-    assert table.primes.tolist() == primes_upto(limit)
+    assert table.primes.tolist() == primes_upto(limit).tolist()
     assert table.roots.shape == (table.primes.size, 2)
     for p, row in zip(table.primes.tolist(), table.roots.tolist()):
         roots = roots_mod_prime(f, p).roots
@@ -274,7 +275,9 @@ def test_prime_root_table_refuses_limits_beyond_int64_products(monkeypatch):
     with pytest.raises(BudgetExceeded):
         prime_root_table(f, MAX_TABLE_PRIME + 1)
     # at the bound itself the guard lets the table through
-    monkeypatch.setattr(polynomial, "primes_upto", lambda n: [2, 3, 5, 7, 11, 13])
+    monkeypatch.setattr(
+        polynomial, "primes_upto", lambda n: np.array([2, 3, 5, 7, 11, 13], np.int64)
+    )
     table = prime_root_table(f, MAX_TABLE_PRIME)
     assert table.limit == MAX_TABLE_PRIME and table.roots.tolist() == [[-1, -1]] * 6
 
@@ -289,14 +292,14 @@ def test_prime_root_table_checks_every_vector_root():
 
 
 def euler_legendre(x, p):
-    """(x/p) by Euler's criterion alone: the path legendre takes without a
-    period table."""
+    """(x/p) by Euler's criterion alone for odd p, and kronecker(x, 2) at
+    p = 2: the Kronecker symbol legendre gives on both of its paths."""
     power = polynomial._pow_mod(polynomial._mod_each(x, p), (p - 1) >> 1, p)
-    return np.where(power > 1, -1, power)
+    return np.where(p == 2, kronecker(x, 2), np.where(power > 1, -1, power))
 
 
 def test_legendre_period_table_matches_euler():
-    p = np.array(primes_upto(10**4), dtype=np.int64)
+    p = primes_upto(10**4)
     # every discriminant-like x with |x| <= 400, squares and x = 1 included
     for x in (x for x in range(-400, 401) if x and x % 4 < 2):
         assert polynomial._chi_by_period(x, p) is not None, x

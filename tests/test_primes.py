@@ -1,5 +1,8 @@
+import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from quadprimes.errors import FactorizationOverflow
@@ -10,13 +13,18 @@ from oracles import SMALL_PRIMES, simple_sieve, trial_is_prime
 
 def test_primes_upto_matches_reference_sieve():
     for limit in (0, 1, 2, 3, 10, 97, 98, 1000, 10**4):
-        assert primes_upto(limit) == simple_sieve(limit)
+        assert primes_upto(limit).tolist() == simple_sieve(limit)
 
 
 def test_primes_upto_shrinks_after_growing():
     big = primes_upto(5000)
     small = primes_upto(50)
-    assert small == [p for p in big if p <= 50]
+    assert small.tolist() == [p for p in big.tolist() if p <= 50]
+    # one read-only int64 cache: a smaller call is a view of a larger one
+    assert small.dtype == big.dtype == np.int64
+    assert np.shares_memory(small, big)
+    with pytest.raises(ValueError):
+        small[0] = 4
 
 
 def test_is_prime_matches_trial_division():
@@ -34,15 +42,37 @@ def test_is_prime_large_values():
 
 def test_factorize_round_trip():
     rng = random.Random(7)
-    for _ in range(300):
-        n = rng.randint(2, 10**9)
-        fac = factorize(n)
-        prod = 1
-        for p, e in fac:
-            assert is_prime(p)
-            prod *= p**e
-        assert prod == n
-        assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+    below_limit = simple_sieve(10**6)
+    for high in (10**9, 10**14):
+        for _ in range(300):
+            n = rng.randint(2, high)
+            try:
+                fac = factorize(n)
+            except FactorizationOverflow:
+                # right only when the part of n free of primes to 10^6 is composite
+                rest = n
+                for p in below_limit:
+                    while rest % p == 0:
+                        rest //= p
+                assert rest > 10**12 and not is_prime(rest), n
+                continue
+            prod = 1
+            for p, e in fac:
+                assert is_prime(p)
+                prod *= p**e
+            assert prod == n
+            assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+    # n above 2^63, so trial division reduces n limb by limb: a smooth part
+    # times one prime cofactor above the trial-division limit
+    for _ in range(40):
+        q = rng.randint(10**6, 10**15)
+        while not is_prime(q):
+            q += 1
+        smooth = Counter()
+        while math.prod(p**e for p, e in smooth.items()) * q < 2**63:
+            smooth[rng.choice(SMALL_PRIMES + [999983])] += 1
+        n = math.prod(p**e for p, e in smooth.items()) * q
+        assert factorize(n) == sorted(smooth.items()) + [(q, 1)], n
 
 
 def test_factorize_edge_cases():

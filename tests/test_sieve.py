@@ -30,6 +30,7 @@ from oracles import (
     is_admissible,
     poly_value,
     rand_admissible,
+    strike_arrays,
     trial_is_prime,
 )
 
@@ -181,7 +182,8 @@ def test_segment_counts_match_the_slice_loop(monkeypatch):
                 want = _slice_loop_counts(f, a, b, pairs, isqrt(10**7))
                 got = _kernel_counts(f, a, b, arrays, table.primes.tolist(), isqrt(10**7))
                 assert got == want, (coeffs, a, b)
-                got = _kernel_counts(f, a, b, pairs, [p for p, _ in pairs], isqrt(10**7))
+                got = _kernel_counts(f, a, b, strike_arrays(pairs), [p for p, _ in pairs],
+                                     isqrt(10**7))
                 assert got == want, (coeffs, a, b)
     assert any(lo < 0 for coeffs in polys[:3]
                for lo, _ in enumeration_domain(validate(*coeffs), 10**7).intervals)
