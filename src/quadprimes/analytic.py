@@ -150,8 +150,9 @@ def v_product(
 ) -> float:
     """V(z) = prod_{p < z} (1 - rho(p)/p), rounded to the nearest double.
     Equals 1 for z = 2 (empty product). rho(p) is read from table where it
-    is f's, and above its limit is 1 + (delta/p) by Euler's criterion (p = 2
-    and p | a solved directly); no roots are solved."""
+    is f's, and above its limit is 1 + (delta/p) from the table's chi period
+    or by Euler's criterion (p = 2 and p | a solved directly); no roots are
+    solved."""
     _check_prime_range(z, prime_budget)
     limit = math.ceil(z) - 1  # the largest integer below z
     primes = rho = np.empty(0, dtype=np.int64)
@@ -161,7 +162,9 @@ def v_product(
         rho = (table.roots[: primes.size] >= 0).sum(axis=1)
     if not own or table.limit < limit:
         more = primes_upto(limit)[primes.size :]
-        primes, rho = np.concatenate((primes, more)), np.concatenate((rho, prime_rho(f, more)))
+        period = table.period if own else None
+        primes = np.concatenate((primes, more))
+        rho = np.concatenate((rho, prime_rho(f, more, period)))
     keep = rho > 0
     primes, rho = primes[keep], rho[keep]
     if (rho == primes).any():

@@ -227,12 +227,14 @@ _CHI_GATHER = 1 << 16
 @dataclass(frozen=True, eq=False)
 class PrimeRootTable:
     """Roots of f modulo every prime p <= limit. Row i of roots holds the
-    roots mod primes[i] in increasing order, padded with -1."""
+    roots mod primes[i] in increasing order, padded with -1. period is
+    chi_period(delta, primes.size), read by V above the limit too."""
 
     f: AdmissiblePolynomial
     limit: int
     primes: np.ndarray
     roots: np.ndarray
+    period: np.ndarray | None
 
 
 def check_table_limit(limit: int) -> None:
@@ -250,7 +252,8 @@ def prime_root_table(f: AdmissiblePolynomial, limit: int) -> PrimeRootTable:
     BudgetExceeded for limit > MAX_TABLE_PRIME before allocating."""
     check_table_limit(limit)
     primes = primes_upto(limit)
-    return PrimeRootTable(f, limit, primes, _root_rows(f, primes))
+    period = chi_period(f.delta, primes.size)
+    return PrimeRootTable(f, limit, primes, _root_rows(f, primes, period), period)
 
 
 def _scalar_primes(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
@@ -258,23 +261,28 @@ def _scalar_primes(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
     return (primes == 2) | (_mod_each(f.a, primes) == 0)
 
 
-def _root_rows(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
+def _root_rows(
+    f: AdmissiblePolynomial, primes: np.ndarray, period: np.ndarray | None
+) -> np.ndarray:
     """The (len(primes), 2) root rows: p = 2 and p | a one at a time, every
-    other prime at once over arrays."""
+    other prime at once over arrays, with (delta/p) from period if given."""
     rows = np.full((primes.size, 2), -1, dtype=np.int64)
     scalar = _scalar_primes(f, primes)
     for i in np.flatnonzero(scalar).tolist():
         roots = _roots_mod_known_prime(f, int(primes[i]))
         rows[i, : len(roots)] = roots
-    rows[~scalar] = _odd_root_rows(f, primes[~scalar])
+    rows[~scalar] = _odd_root_rows(f, primes[~scalar], period)
     return rows
 
 
-def prime_rho(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
+def prime_rho(
+    f: AdmissiblePolynomial, primes: np.ndarray, period: np.ndarray | None = None
+) -> np.ndarray:
     """rho(p), the number of roots of f mod p, for each prime p <= MAX_TABLE_PRIME
-    without solving for the roots: 1 + (delta/p) by Euler's criterion for odd
-    p not dividing a, p = 2 and p | a one at a time as in _root_rows."""
-    rho = 1 + legendre(f.delta, primes)
+    without solving for the roots: 1 + (delta/p) from legendre (given
+    period, delta's chi_period table) for odd p not dividing a, p = 2 and
+    p | a one at a time as in _root_rows."""
+    rho = 1 + legendre(f.delta, primes, period)
     for i in np.flatnonzero(_scalar_primes(f, primes)).tolist():
         rho[i] = len(_roots_mod_known_prime(f, int(primes[i])))
     return rho
@@ -331,28 +339,31 @@ def _chi_upto(d: int, limit: int) -> np.ndarray:
     return chi
 
 
-def _chi_by_period(x: int, p: np.ndarray) -> np.ndarray | None:
-    """(x/p) for each prime p by one gather from a table of
-    chi_x mod |x| when x = 0, 1 (mod 4) and 0 < |x| <= p.size, else None.
-    n -> (x/n) has period |x| for such x (H. Cohen, GTM 138, Sec. 1.4), and
-    the table is built by Euler's criterion on fewer than |x| primes."""
+def chi_period(x: int, count: int) -> np.ndarray | None:
+    """(x/n) for 0 <= n < |x| as int8, one period of n -> (x/n), when
+    x = 0, 1 (mod 4) and 0 < |x| <= count (a table worth building for count
+    primes), else None. n -> (x/n) has period |x| for such x (H. Cohen,
+    GTM 138, Sec. 1.4), and the table is built by Euler's criterion on
+    fewer than |x| primes."""
     m = abs(x)
-    if x % 4 > 1 or not 0 < m <= p.size:
+    if x % 4 > 1 or not 0 < m <= count:
         return None
     table = _chi_upto(x, m)
     table[0] = table[m]  # chi(|x|): 0, or 1 for x = 1
-    return table[p % m].astype(np.int64)
+    return table[:m]
 
 
-def legendre(x: int, p: np.ndarray) -> np.ndarray:
+def legendre(x: int, p: np.ndarray, period: np.ndarray | None = None) -> np.ndarray:
     """The Kronecker symbol (x/p) in {-1, 0, 1} for each prime
-    p <= MAX_TABLE_PRIME: from a period table where _chi_by_period applies,
+    p <= MAX_TABLE_PRIME: by one gather p mod |x| from period, x's
+    chi_period table (built here when chi_period(x, p.size) gives one),
     else by Euler's criterion x^((p-1)/2) mod p for odd p and from x mod 8
     for p = 2. There, any power other than 0, 1 or p - 1 shows that p is not
     prime and raises ConsistencyError."""
-    chi = _chi_by_period(x, p)
-    if chi is not None:
-        return chi
+    if period is None:
+        period = chi_period(x, p.size)
+    if period is not None:
+        return period[p % period.size].astype(np.int64)
     euler = _pow_mod(_mod_each(x, p), (p - 1) >> 1, p)
     bad = (euler > 1) & (euler != p - 1)
     if bad.any():
@@ -401,18 +412,21 @@ def _inverse_mod(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.where(r1 == 1, s1, s0) % p
 
 
-def _odd_root_rows(f: AdmissiblePolynomial, p: np.ndarray) -> np.ndarray:
+def _odd_root_rows(
+    f: AdmissiblePolynomial, p: np.ndarray, period: np.ndarray | None
+) -> np.ndarray:
     """Root rows mod odd primes p <= MAX_TABLE_PRIME that do not divide a.
 
     Completing the square turns f = 0 into (2an + b)^2 = delta, so the roots
     are (-b +- s)/(2a) with s^2 = delta. Only rows with (delta/p) != -1 are
-    solved when a period table gives (delta/p), with Euler's criterion checked
-    on each, so a wrong table raises ConsistencyError. s comes from
-    Tonelli-Shanks (H. Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 1.5.1) run over arrays, on the rows not yet solved. Every
-    product of two residues is below p^2 < 2^63.
+    solved when period, delta's chi_period table, gives (delta/p), with
+    Euler's criterion checked on each, so a wrong table raises
+    ConsistencyError. s comes from Tonelli-Shanks (H. Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 1.5.1) run over arrays, on
+    the rows not yet solved. Every product of two residues is below
+    p^2 < 2^63.
     """
-    chi = _chi_by_period(f.delta, p)
+    chi = None if period is None else period[p % period.size]
     solve = slice(None) if chi is None else chi >= 0
     count, p = p.size, p[solve]
     d = _mod_each(f.delta, p)

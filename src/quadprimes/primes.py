@@ -27,16 +27,17 @@ TRIAL_DIVISION_LIMIT = 10**6
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n, ascending, as a read-only int64 view of one cached
     array from a sieve that grows geometrically: a smaller call shares the
-    memory of a larger one, and a write raises ValueError."""
+    memory of a larger one, and a write raises ValueError. Each sieving
+    prime strikes one bool array by a slice assignment, allocating nothing."""
     global _sieve_limit, _sieve_primes
     if n > _sieve_limit:
         limit = max(n, 2 * _sieve_limit, 1 << 10)
-        flags = bytearray([1]) * (limit + 1)
-        flags[0] = flags[1] = 0
+        flags = np.ones(limit + 1, dtype=bool)
+        flags[:2] = False
         for p in range(2, isqrt(limit) + 1):
             if flags[p]:
-                flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-        _sieve_primes = np.flatnonzero(np.frombuffer(flags, np.uint8)).astype(np.int64, copy=False)
+                flags[p * p :: p] = False
+        _sieve_primes = np.flatnonzero(flags).astype(np.int64, copy=False)
         _sieve_primes.flags.writeable = False
         _sieve_limit = limit
     return _sieve_primes[: _sieve_primes.searchsorted(n, "right")]

@@ -1,15 +1,20 @@
 """Least-prime-factor sieve over the values f(n) on the enumeration domain.
 
-Each span of consecutive n is one int64 array of values f(n). Every root r
-of f modulo a prime p <= sqrt(max f), read off the polynomial's root table
-as flat (p, r) arrays, strikes the positions n = r (mod p) with p's position
+When a | b, f(c2 - n) = f(n) with c2 = -b/a, and the domain is symmetric
+under n -> c2 - n, so only n > c2/2 is sieved, each count taken twice, with
+the centre c2/2 once when it is an integer of the domain. Each span of
+consecutive n is one int32 array of least-prime positions. Every root r of
+f modulo a prime p <= sqrt(max f), read off the polynomial's root table as
+flat (p, r) arrays, strikes the positions n = r (mod p) with p's position
 in the table, so the least position is the least prime. A prime that hits
 the span at least SLICE_HITS times does so by one strided slice write,
 smallest last; the other hits are gathered into batches of positions, each
 written by one np.minimum.at: the bucket sieve of Oliveira e Silva, Herzog
 and Pardi (Math. Comp. 83, 2014). A value nothing struck keeps position
 T = table size: it is 1, a prime above the strike limit, or 0 when T = 0.
-One np.bincount over the positions counts each table prime as an lpf.
+One np.bincount over the positions counts each table prime as an lpf; the
+values f(n) themselves are computed only on the runs of n where
+f(n) <= isqrt(N), the only values a count reads.
 
 The histogram keys every lpf up to isqrt(N) exactly and pools anything
 larger into a single bucket, which is all the resolution the sifting counts
@@ -28,6 +33,8 @@ from .polynomial import (
     AdmissiblePolynomial,
     EnumerationDomain,
     PrimeRootTable,
+    _ceil_shifted_sqrt,
+    _floor_shifted_sqrt,
     enumeration_domain,
     prime_root_table,
     roots_mod,
@@ -38,7 +45,8 @@ from .primes import _mod_each, is_prime, primes_upto  # noqa: F401  (primes_upto
 DEFAULT_MAX_N = 10**12
 DEFAULT_MAX_SIEVE_PRIME = 2 * 10**6
 DEFAULT_SEGMENT_SIZE = 1 << 20
-# values in [0, N] and the step 2a in [-2N, 2N] fit int64 up to this N
+# the kernel's values are at most isqrt(N), but the root table to isqrt(max f)
+# needs p^2 < 2^63 (MAX_TABLE_PRIME): N is refused above this round bound
 MAX_SAFE_N = 10**18
 # a prime with at least this many hits in a span strikes by a slice write
 SLICE_HITS = 64
@@ -111,6 +119,59 @@ def _scatter_min(
     np.minimum.at(lpf, np.cumsum(steps), np.repeat(pos, hits))
 
 
+def _pieces(f: AdmissiblePolynomial, domain: EnumerationDomain) -> list[tuple[int, int, int]]:
+    """(lo, hi, weight) runs of n holding each value of f on the domain
+    weight times in all. When a | b, f(c2 - n) = f(n) with c2 = -b/a, and
+    the domain, where 0 <= f <= N, is symmetric under n -> c2 - n: each
+    interval is cut to n > c2/2 with weight 2, and the centre c2/2, when it
+    is an integer of the interval, is its own piece with weight 1. Else each
+    interval is a piece with weight 1."""
+    if f.b % f.a:
+        return [(lo, hi, 1) for lo, hi in domain.intervals]
+    c2 = -f.b // f.a
+    pieces = []
+    for lo, hi in domain.intervals:
+        if c2 % 2 == 0 and lo <= c2 // 2 <= hi:
+            pieces.append((c2 // 2, c2 // 2, 1))
+        pieces.append((max(lo, c2 // 2 + 1), hi, 2))
+    return [piece for piece in pieces if piece[0] <= piece[1]]
+
+
+def _runs_at_most(f: AdmissiblePolynomial, lo: int, hi: int, cap: int) -> list[tuple[int, int]]:
+    """The runs (s, e) of n in [lo, hi] with f(n) <= cap, values below 0
+    included, from the exact roots of f - cap: one run around the vertex
+    for a > 0, the two tails outside the roots for a < 0."""
+    d = f.delta + 4 * f.a * cap  # the discriminant of f - cap
+    if d <= 0 and f.a < 0:  # cap at or above the peak of f
+        return [(lo, hi)]
+    if d < 0:
+        return []
+    if f.a > 0:
+        t, q = -f.b, 2 * f.a
+        runs = [(_ceil_shifted_sqrt(t, d, q, -1), _floor_shifted_sqrt(t, d, q, +1))]
+    else:
+        t, q = f.b, -2 * f.a
+        runs = [(lo, _floor_shifted_sqrt(t, d, q, -1)), (_ceil_shifted_sqrt(t, d, q, +1), hi)]
+    runs = [(max(s, lo), min(e, hi)) for s, e in runs]
+    return [(s, e) for s, e in runs if s <= e]
+
+
+def _values(f: AdmissiblePolynomial, lo: int, hi: int) -> np.ndarray:
+    """f(n) for lo <= n <= hi as int64 by two cumulative sums over f(lo),
+    f(lo+1) - f(lo), then the second difference 2a (bounded by the values
+    once there are three): every partial sum is some f(n+1) - f(n) or f(n),
+    so none overflows where the values fit, even for coefficients beyond
+    int64, where (a n + b) n + c would."""
+    length = hi - lo + 1
+    values = np.full(length, 2 * f.a if length > 2 else 0, dtype=np.int64)
+    values[0] = f(lo)
+    if length > 1:
+        values[1] = f(lo + 1) - f(lo)
+        np.cumsum(values[1:], out=values[1:])
+    np.cumsum(values, out=values)
+    return values
+
+
 def _segment_counts(
     f: AdmissiblePolynomial,
     lo: int,
@@ -119,28 +180,19 @@ def _segment_counts(
     key_cap: int,
 ) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
     """(pi, units, zeros, large, counts, apart) over n in [lo, hi], whose
-    values must lie in [0, MAX_SAFE_N] (one below 0 falls in no count).
+    values at most key_cap must fit int64 (one below 0 falls in no count).
     counts[i] counts the values above 0 whose lpf is the prime at table
     position i; apart holds the unstruck primes at most key_cap. strikes is
     _strike_rows' (p, r, position, prime_at).
 
     A prime with at least SLICE_HITS hits in the span strikes by a slice
     write, smallest last; the others by np.minimum.at in batches of fewer
-    than 2 * length hit positions. Beside the span's arrays, only per-row
-    arrays the size of strikes are allocated."""
+    than 2 * length hit positions. f is evaluated only on the runs of n
+    where f(n) <= key_cap. Beside the span's lpf array and those values,
+    only per-row arrays the size of strikes are allocated."""
     p, r, pos, prime_at = strikes
     unstruck = prime_at.size - 1
     length = hi - lo + 1
-    # f(lo), f(lo+1) - f(lo), then the second difference 2a (bounded by the
-    # values once there are three): every partial sum of the differences,
-    # then of the values, is some f(n+1) - f(n) or f(n), so none overflows
-    values = np.full(length, 2 * f.a if length > 2 else 0, dtype=np.int64)
-    values[0] = f(lo)
-    if length > 1:
-        values[1] = f(lo + 1) - f(lo)
-        np.cumsum(values[1:], out=values[1:])
-    np.cumsum(values, out=values)
-
     lpf = np.full(length, unstruck, dtype=np.int32)
     first = (r - _mod_each(lo, p)) % p
     split = int(np.searchsorted(p, length // SLICE_HITS, side="right"))
@@ -157,8 +209,9 @@ def _segment_counts(
         lpf[start::q] = at
     counts = np.bincount(lpf, minlength=unstruck + 1)
     # the units, the zeros and each prime keyed as its own lpf are at most key_cap
-    small = np.flatnonzero(values <= key_cap)
-    v, at = values[small], lpf[small]
+    runs = _runs_at_most(f, lo, hi, key_cap)
+    v = np.concatenate([_values(f, s, e) for s, e in runs] or [np.zeros(0, np.int64)])
+    at = np.concatenate([lpf[s - lo : e - lo + 1] for s, e in runs] or [lpf[:0]])
     below = at[v < 1]
     if below.size:  # no bucket but the zero count holds a value below 1
         np.subtract.at(counts, below, 1)
@@ -218,17 +271,20 @@ def sieve_pi(
     seg = max(budget.segment_size, 16)
     pi_f = units = zeros = large = 0
     counts, apart = np.zeros(table.primes.size, dtype=np.int64), []
-    for lo, hi in domain.intervals:
+    for lo, hi, weight in _pieces(f, domain):
         for start in range(lo, hi + 1, seg):
             part = _segment_counts(f, start, min(start + seg - 1, hi), strikes, key_cap)
-            pi_f, units, zeros, large = (x + y for x, y in zip((pi_f, units, zeros, large), part))
-            counts += part[4]
-            apart += part[5].tolist()
+            pi_f, units, zeros, large = (
+                x + weight * y for x, y in zip((pi_f, units, zeros, large), part)
+            )
+            counts += weight * part[4]
+            apart += part[5].tolist() * weight
     keyed = np.flatnonzero(counts)
     hist = dict(zip(table.primes[keyed].tolist(), counts[keyed].tolist()))
     for q in sorted(apart):  # the unstruck primes at most key_cap, above the table
         hist[q] = hist.get(q, 0) + 1
 
+    # every count is weighted by its piece, so this checks the fold as well
     total = units + zeros + large + sum(hist.values())
     if total != domain.cardinality_a:
         raise ConsistencyError(f"buckets hold {total} values, the domain {domain.cardinality_a}")

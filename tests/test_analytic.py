@@ -333,3 +333,24 @@ def test_main_term_reuses_sieve_result():
     assert rep.relative_error == pytest.approx(
         (38 - rep.main_term) / rep.main_term, rel=1e-15
     )
+
+
+def test_sieve_and_v_build_one_chi_period_per_polynomial(monkeypatch):
+    # the root table solves from chi_Delta's period table, and V reads the
+    # same table above the root table's limit instead of building another
+    from quadprimes import polynomial
+
+    calls = []
+    real = polynomial._chi_upto
+
+    def counting(d, limit):
+        calls.append((d, limit))
+        return real(d, limit)
+
+    monkeypatch.setattr(polynomial, "_chi_upto", counting)
+    f = validate(1, 1, 41)
+    res = sieve_pi(f, 10**8)
+    assert res.root_table.limit < res.cardinality_a
+    v = main_term_report(f, 10**8, res).v_of_a
+    assert calls == [(-163, 163)]
+    assert v == v_product(f, res.cardinality_a) == _exact_v(f, res.cardinality_a)

@@ -302,13 +302,15 @@ def test_legendre_period_table_matches_euler():
     p = primes_upto(10**4)
     # every discriminant-like x with |x| <= 400, squares and x = 1 included
     for x in (x for x in range(-400, 401) if x and x % 4 < 2):
-        assert polynomial._chi_by_period(x, p) is not None, x
+        period = polynomial.chi_period(x, p.size)
+        assert period is not None, x
         assert np.array_equal(legendre(x, p), euler_legendre(x, p)), x
+        assert np.array_equal(legendre(x, p, period), euler_legendre(x, p)), x
     # the switch: |x| at the prime count takes the table, one above it does not
     q = p[:1228]
     for x in (1228, -1228, 1229):
-        gathered = polynomial._chi_by_period(x, q)
-        assert (gathered is None) == (abs(x) > q.size), x
+        period = polynomial.chi_period(x, q.size)
+        assert (period is None) == (abs(x) > q.size), x
         assert np.array_equal(legendre(x, q), euler_legendre(x, q)), x
 
 
@@ -326,14 +328,12 @@ def test_inverse_mod_matches_pow():
 
 def test_prime_root_table_solves_only_residue_rows():
     limit = 20000
-    rows = len(primes_upto(limit)) - 1  # the rows solved over arrays when a = 1
-    assert rows == 2261
-    # a = 1 and |delta| one below, at and three above that count: -2260, 2261,
-    # -2264 (no admissible f with a = 1 has delta = -2263)
+    count = len(primes_upto(limit))  # the table's primes, which size its chi period
+    assert count == 2262
+    # a = 1 and |delta| two and one below and two above that count: -2260,
+    # 2261, -2264 (no admissible f with a = 1 has |delta| = 2262 or 2263)
     near = [validate(1, 0, 565), validate(1, 1, -565), validate(1, 0, 566)]
-    odd = np.array(primes_upto(limit)[1:], dtype=np.int64)
-    assert [polynomial._chi_by_period(f.delta, odd) is None for f in near] == [
-        False, False, True]
+    assert [prime_root_table(f, limit).period is None for f in near] == [False, False, True]
     for f in near + [
         validate(1, 1, 41),  # |delta| far below the count
         validate(-3, 1, 187),  # a < 0, delta = 2245

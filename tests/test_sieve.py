@@ -240,6 +240,48 @@ def test_counting_branches_match_bruteforce():
     assert apart >= 20 and empty_table >= 10 and split_spans >= 20
 
 
+def test_folded_domains_match_bruteforce():
+    # when a | b the domain is symmetric under n -> c2 - n, c2 = -b/a, and
+    # only n > c2/2 is sieved, weighted 2: steer in a = +-1, +-2, +-3 with
+    # an even c2 whose centre lies inside the domain (a piece of weight 1,
+    # with spans of 16 cut around it) and outside it (split domains whose
+    # intervals mirror each other), and an odd c2 both ways
+    rng = random.Random(23)
+    cases = []
+    for a in (1, -1, 2, -2, 3, -3):
+        wanted = {("centre", 0): 2, ("gap", 0): 2, ("centre", 1): 2, ("gap", 1): 2}
+        while any(wanted.values()):
+            b, c = a * rng.randint(-12, 12), rng.randint(-3000, 3000)
+            n_value = rng.choice((rng.randint(1, 300), rng.randint(300, 20000)))
+            if not is_admissible(a, b, c):
+                continue
+            domain = enumeration_domain(validate(a, b, c), n_value)
+            c2 = -b // a
+            if len(domain.intervals) == 2:
+                (lo, hi), (lo2, hi2) = domain.intervals
+                assert (lo, hi) == (c2 - hi2, c2 - lo2), (a, b, c, n_value)
+                kind = "gap"
+            elif domain.cardinality_a > 16:
+                kind = "centre"
+            else:
+                continue
+            if wanted[kind, c2 % 2]:
+                wanted[kind, c2 % 2] -= 1
+                cases.append((a, b, c, n_value))
+    for a, b, c, n_value in cases:
+        f = validate(a, b, c)
+        pieces = sieve._pieces(f, enumeration_domain(f, n_value))
+        c2 = -b // a
+        assert [w for _, _, w in pieces] == [1, 2][(c2 % 2 or len(pieces) == 1):], (a, b, c)
+        assert all(lo > c2 / 2 for lo, _, w in pieces if w == 2)
+        want = brute_lpf_counts(a, b, c, n_value, isqrt(n_value))
+        for seg in (16, 1 << 20):
+            res = sieve_pi(f, n_value, SieveBudget(segment_size=seg))
+            assert (res.unit_count, res.large_prime_count, res.lpf_histogram) == want, (
+                a, b, c, n_value, seg)
+            assert res.pi_f == brute_pi(a, b, c, n_value), (a, b, c, n_value, seg)
+
+
 def test_sieve_exact_when_coefficients_exceed_int64():
     # x^2 + x + 41 shifted by k: c = k^2 + k + 41 > 2^63, the values are not
     k = 10**10
@@ -251,6 +293,13 @@ def test_sieve_exact_when_coefficients_exceed_int64():
         base.unit_count, base.large_prime_count)
     assert (main_term_report(shifted_f, 10**8, shifted).v_of_a
             == main_term_report(base_f, 10**8, base).v_of_a)
+    # x^2 + 1 shifted the same way: c2 = -2k is even, so the centre n = -k,
+    # where f = 1, is a piece of its own beside the folded half
+    base, shifted = sieve_pi(validate(1, 0, 1), 10**8), sieve_pi(validate(1, 2 * k, k * k + 1), 10**8)
+    assert shifted.pi_f == base.pi_f == 1682
+    assert shifted.lpf_histogram == base.lpf_histogram
+    assert (shifted.unit_count, shifted.large_prime_count) == (
+        base.unit_count, base.large_prime_count) == (1, 1644)
 
 
 def test_sieve_refuses_n_beyond_int64_safe_bound():
@@ -259,10 +308,19 @@ def test_sieve_refuses_n_beyond_int64_safe_bound():
         sieve_pi(f, 2**63, SieveBudget(max_n=2**64, max_sieve_prime=2**40))
 
 
+def _raises_consistency_error_under_python_O(script):
+    src = os.path.dirname(os.path.dirname(quadprimes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bucket_partition_checked_under_python_O():
     # a span that loses one value must raise ConsistencyError even with
     # assert statements compiled out
-    script = textwrap.dedent("""
+    _raises_consistency_error_under_python_O("""
         import quadprimes.sieve as sieve
         from quadprimes.errors import ConsistencyError
         from quadprimes.polynomial import validate
@@ -280,12 +338,31 @@ def test_bucket_partition_checked_under_python_O():
             raise SystemExit(0)
         raise SystemExit(1)
     """)
-    src = os.path.dirname(os.path.dirname(quadprimes.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+
+
+def test_fold_weight_checked_under_python_O():
+    # a folded half counted once instead of twice leaves the bucket total
+    # short of |A|, which must raise ConsistencyError with asserts compiled out
+    _raises_consistency_error_under_python_O("""
+        import quadprimes.sieve as sieve
+        from quadprimes.errors import ConsistencyError
+        from quadprimes.polynomial import validate
+
+        real = sieve._pieces
+
+        def weight_one(f, domain):
+            return [(lo, hi, 1) for lo, hi, _ in real(f, domain)]
+
+        sieve._pieces = weight_one
+        f = validate(1, 1, 41)
+        if [w for _, _, w in real(f, sieve.enumeration_domain(f, 10**4))] != [2]:
+            raise SystemExit(2)
+        try:
+            sieve.sieve_pi(f, 10**4)
+        except ConsistencyError:
+            raise SystemExit(0)
+        raise SystemExit(1)
+    """)
 
 
 def test_sieve_budget_checks():
