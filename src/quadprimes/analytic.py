@@ -159,7 +159,8 @@ def v_product(
     own = table is not None and table.f == f
     if own:
         primes = table.primes[: np.searchsorted(table.primes, z)]
-        rho = (table.roots[: primes.size] >= 0).sum(axis=1)
+        roots = table.roots[: primes.size]
+        rho = (roots[:, 0] >= 0).astype(np.int64) + (roots[:, 1] >= 0)
     if not own or table.limit < limit:
         more = primes_upto(limit)[primes.size :]
         period = table.period if own else None

@@ -261,9 +261,9 @@ def _poly_rows(f) -> list[Row]:
 def _analyze_one(
     f, n_value: int, settings: Settings, l_values: dict | None = None
 ) -> tuple[RunRecord, list[Row]]:
-    budget = settings.budget()
+    budget, prime_budget = settings.budget(), DEFAULT_PRIME_BUDGET
     domain = sieve.checked_domain(f, n_value, budget)
-    main_term_needs_v(domain.cardinality_a, DEFAULT_PRIME_BUDGET)  # fails before the sieve
+    main_term_needs_v(domain.cardinality_a, prime_budget)  # fails before the sieve
     result = sieve_pi(f, n_value, budget=budget, domain=domain)
     l_values = {} if l_values is None else l_values  # by Delta; scan passes one per box
     if f.delta not in l_values:
@@ -273,8 +273,9 @@ def _analyze_one(
         met = metrics(f, n_value, result.cardinality_a, l_value, l_bound)
     except DegenerateA:
         met = None
+    # V takes the budget checked above; main_term_report's default is bound at import
     report = main_term_report(
-        f, n_value, result, met.beta if met else None
+        f, n_value, result, met.beta if met else None, prime_budget=prime_budget
     )
     domain_text = " union ".join(f"[{lo}, {hi}]" for lo, hi in result.domain.intervals)
     # in RunRecord's field order; |A|, V, the main term and the relative error

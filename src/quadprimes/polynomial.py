@@ -213,6 +213,9 @@ def roots_mod_prime(f: AdmissiblePolynomial, p: int) -> RootSet:
 
 # every product of two residues mod a prime up to this bound fits int64
 MAX_TABLE_PRIME = isqrt(2**63 - 1)
+# below this bound p^3 < 2^63: a product of three residues, or (a r + b) r + c
+# for residues a, b, c, r, fits int64 before its one reduction
+_CUBE_SAFE = 1 << 21
 # odd primes l tried as quadratic non-residues mod p = 1 (mod 8), each with
 # the table of which residues mod l are squares
 _NON_RESIDUE_CANDIDATES = tuple(
@@ -257,8 +260,10 @@ def prime_root_table(f: AdmissiblePolynomial, limit: int) -> PrimeRootTable:
 
 
 def _scalar_primes(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
-    """Mask of the primes the array solvers leave out: 2 and those dividing a."""
-    return (primes == 2) | (_mod_each(f.a, primes) == 0)
+    """Indices of the primes the array solvers leave out, 2 and those dividing
+    a: only the ascending primes up to max(|a|, 2) are reduced."""
+    head = primes[: primes.searchsorted(min(max(abs(f.a), 2), MAX_TABLE_PRIME), "right")]
+    return np.flatnonzero((head == 2) | (_mod_each(f.a, head) == 0))
 
 
 def _root_rows(
@@ -266,12 +271,11 @@ def _root_rows(
 ) -> np.ndarray:
     """The (len(primes), 2) root rows: p = 2 and p | a one at a time, every
     other prime at once over arrays, with (delta/p) from period if given."""
-    rows = np.full((primes.size, 2), -1, dtype=np.int64)
     scalar = _scalar_primes(f, primes)
-    for i in np.flatnonzero(scalar).tolist():
+    rows = _odd_root_rows(f, primes, scalar, period)
+    for i in scalar.tolist():
         roots = _roots_mod_known_prime(f, int(primes[i]))
         rows[i, : len(roots)] = roots
-    rows[~scalar] = _odd_root_rows(f, primes[~scalar], period)
     return rows
 
 
@@ -283,18 +287,26 @@ def prime_rho(
     period, delta's chi_period table) for odd p not dividing a, p = 2 and
     p | a one at a time as in _root_rows."""
     rho = 1 + legendre(f.delta, primes, period)
-    for i in np.flatnonzero(_scalar_primes(f, primes)).tolist():
+    for i in _scalar_primes(f, primes).tolist():
         rho[i] = len(_roots_mod_known_prime(f, int(primes[i])))
     return rho
 
 
 def _pow_mod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """base**exp mod p elementwise by square-and-multiply over the bits of exp."""
-    result = np.ones_like(base)
-    for _ in range(int(exp.max(initial=0)).bit_length()):
-        result = np.where(exp & 1, result * base % p, result)
-        base = base * base % p
-        exp = exp >> 1
+    """base**exp mod p elementwise for 0 <= base < p, left to right over the bits
+    of exp: r = r^2 base^bit in place, one reduction per bit below _CUBE_SAFE."""
+    small = p.max(initial=0) < _CUBE_SAFE
+    result, times, factor = np.ones_like(base), base - 1, np.empty_like(base)
+    for k in range(int(exp.max(initial=0)).bit_length() - 1, -1, -1):
+        np.right_shift(exp, k, out=factor)
+        factor &= 1
+        factor *= times
+        factor += 1  # base where bit k of exp is set, else 1
+        result *= result
+        if not small:
+            result %= p
+        result *= factor
+        result %= p
     return result
 
 
@@ -373,29 +385,17 @@ def legendre(x: int, p: np.ndarray, period: np.ndarray | None = None) -> np.ndar
     return np.where(euler > 1, -1, euler)
 
 
-def _square_times(x: np.ndarray, times: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x**(2**times) mod p elementwise, squaring only the rows still due."""
-    x = x.copy()
-    due = np.flatnonzero(times > 0)
-    done = 0
-    while due.size:
-        x[due] = x[due] * x[due] % p[due]
-        done += 1
-        due = due[times[due] > done]
-    return x
-
-
 def _non_residues(p: np.ndarray) -> np.ndarray:
-    """A quadratic non-residue mod each prime p = 1 (mod 4): 2 when p = 5
-    (mod 8), else the first candidate l with (l/p) = -1. By reciprocity
-    (l/p) = (p/l) for such p, a lookup of p mod l; the rare p without one
-    among the candidates is searched one at a time."""
-    z = np.where(p % 8 == 5, 2, 0)
+    """A quadratic non-residue mod each prime p = 1 (mod 8): the first
+    candidate l with (l/p) = -1. By reciprocity (l/p) = (p/l) for such p, a
+    lookup of p mod l on the rows still open; the rare p without one among
+    the candidates is searched one at a time."""
+    z, open_rows = np.zeros_like(p), np.arange(p.size)
     for ell, is_square in _NON_RESIDUE_CANDIDATES:
-        if z.all():
-            return z
-        z = np.where((z == 0) & ~is_square[p % ell], ell, z)
-    for i in np.flatnonzero(z == 0).tolist():
+        hit = ~is_square[p[open_rows] % ell]
+        z[open_rows[hit]] = ell
+        open_rows = open_rows[~hit]
+    for i in open_rows.tolist():
         q = int(p[i])
         z[i] = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) == q - 1)
     return z
@@ -412,75 +412,95 @@ def _inverse_mod(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.where(r1 == 1, s1, s0) % p
 
 
-def _odd_root_rows(
-    f: AdmissiblePolynomial, p: np.ndarray, period: np.ndarray | None
+def _tonelli_shanks(
+    d: np.ndarray, w: np.ndarray, y: np.ndarray, p: np.ndarray, e: np.ndarray
 ) -> np.ndarray:
-    """Root rows mod odd primes p <= MAX_TABLE_PRIME that do not divide a.
+    """s with s^2 = d mod p = q 2^e + 1 (q odd, e >= 3 non-increasing) from
+    w = d^((q-1)/2) and y = z^q, z a non-residue: Tonelli-Shanks (H. Cohen,
+    GTM 138, Alg. 1.5.1) on a fixed schedule. s = d^((q+1)/2), t = d^q keep
+    s^2 = d t; at k = e, ..., 2 (the prefix with e >= k), t^(2^(k-2)) = -1
+    multiplies s by y and t by y^2, then y is squared; a non-residue d ends too."""
+    s = w * d % p
+    t = w * s % p
+    for k in range(int(e.max(initial=2)), 2, -1):
+        n = int(np.count_nonzero(e >= k))
+        c, pk, yk = t[:n], p[:n], y[:n]
+        for _ in range(k - 2):
+            c = c * c % pk
+        flip = c != 1
+        y2 = yk * yk % pk
+        s[:n] = s[:n] * (1 + flip * (yk - 1)) % pk
+        t[:n] = t[:n] * (1 + flip * (y2 - 1)) % pk
+        y[:n] = y2
+    return s * (1 + (t != 1) * (y - 1)) % p  # k = 2
+
+
+def _odd_root_rows(
+    f: AdmissiblePolynomial, primes: np.ndarray, skip: np.ndarray, period: np.ndarray | None
+) -> np.ndarray:
+    """Root rows mod each prime p <= MAX_TABLE_PRIME of primes, left at -1
+    at the indices skip (which must hold p = 2 and each p | a) and where
+    period, delta's chi_period table, gives (delta/p) = -1.
 
     Completing the square turns f = 0 into (2an + b)^2 = delta, so the roots
-    are (-b +- s)/(2a) with s^2 = delta. Only rows with (delta/p) != -1 are
-    solved when period, delta's chi_period table, gives (delta/p), with
-    Euler's criterion checked on each, so a wrong table raises
-    ConsistencyError. s comes from Tonelli-Shanks (H. Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 1.5.1) run over arrays, on
-    the rows not yet solved. Every product of two residues is below
-    p^2 < 2^63.
-    """
-    chi = None if period is None else period[p % period.size]
-    solve = slice(None) if chi is None else chi >= 0
-    count, p = p.size, p[solve]
+    are (-b +- s)/(2a) with s^2 = d = delta mod p. With p - 1 = q 2^e, q odd,
+    one sort on e makes each class a contiguous run, and one _pow_mod call
+    serves them all: s = d^((p+1)/4) for p = 3 (mod 4); Atkin's v =
+    (2d)^((p-5)/8), i = 2d v^2, s = d v (i - 1) for p = 5 (mod 8) (S. Muller,
+    Des. Codes Cryptogr. 31, 2004); _tonelli_shanks for p = 1 (mod 8). d is
+    a residue exactly when s^2 = d, so a row period calls a residue that is
+    none raises ConsistencyError."""
+    p32 = primes.astype(np.uint32)  # half the bytes; MAX_TABLE_PRIME < 2^32
+    # 2^e is the lowest set bit of p - 1, exact in float32; e = 0 at p = 2
+    e = np.frexp(((p32 - 1) & (1 - p32)).astype(np.float32))[1].astype(np.int8) - 1
+    e[skip] = 0
+    if period is not None:
+        e *= period[p32 % period.size] >= 0
+    order = np.argsort(-e, kind="stable")  # e >= 3, 2, 1 in turn; e = 0 is not solved
+    n2, m, n = (-e[order]).searchsorted((-2, -1, 0))
+    solve = order[:n]
+    p, e = primes[solve], e[solve][:n2]
     d = _mod_each(f.delta, p)
+    q, p1, d1 = p[:n2] >> e, p[n2:m], d[n2:m]
+    two_d = 2 * d1 % p1
+    power = _pow_mod(
+        np.concatenate((_non_residues(p[:n2]), d[:n2], two_d, d[m:])),
+        np.concatenate((q, (q - 1) >> 1, (p1 - 5) >> 3, (p[m:] + 1) >> 2)),
+        np.concatenate((p[:n2], p)),
+    )
+    s = power[n2:]
+    v = s[n2:m]
+    s[n2:m] = d1 * v % p1 * (two_d * v % p1 * v % p1 - 1) % p1
+    s[:n2] = _tonelli_shanks(d[:n2], s[:n2], power[:n2], p[:n2], e)
+    residue = s * s % p == d
+    small = p.max(initial=0) < _CUBE_SAFE
     minus_b = _mod_each(-f.b, p)
-    two_e = (p - 1) & (1 - p)  # p - 1 = q * 2^e
-    e = np.frexp(two_e)[1] - 1
-    q = (p - 1) >> e
-    w = _pow_mod(d, (q - 1) >> 1, p)
-    s = w * d % p  # d^((q+1)/2), the root already when t = 1
-    t = w * s % p  # d^q
-    # Euler's criterion d^((p-1)/2) = t^(2^(e-1)); d = 0 gives s = t = 0
-    residue = (_square_times(t, e - 1, p) == 1) | (d == 0)
-    if chi is not None and not residue.all():
-        raise ConsistencyError(f"the period table of {f.delta} is wrong mod {p[~residue][0]}")
-
-    todo = np.flatnonzero(residue & (t > 1))  # p = 1 (mod 4) only
-    pt, m, tt, st = p[todo], e[todo], t[todo], s[todo]
-    y = _pow_mod(_non_residues(pt), q[todo], pt)
-    while todo.size:
-        # i = the least i > 0 with t^(2^i) = 1, and i < m; squaring keeps 1 at 1
-        i, power = np.ones_like(m), tt
-        for _ in range(int(m.max()) - 1):
-            power = power * power % pt
-            i += power != 1
-        b = _square_times(y, m - i - 1, pt)
-        y = b * b % pt
-        st = st * b % pt
-        tt = tt * y % pt
-        m = i
-        done = tt == 1
-        s[todo[done]] = st[done]
-        todo, pt, m, tt, st, y = (x[~done] for x in (todo, pt, m, tt, st, y))
-
-    pairs = np.stack(((minus_b + s) % p, (minus_b - s) % p), axis=1)
     inv_2a = _inverse_mod(_mod_each(2 * f.a, p), p)
-    rows = np.sort(pairs * inv_2a[:, None] % p[:, None], axis=1)
-    rows[d == 0, 1] = -1
-    rows[~residue] = -1
-    _check_roots(f, p, rows)
-    if chi is None:
-        return rows
-    out = np.full((count, 2), -1, dtype=np.int64)
-    out[solve] = rows
-    return out
+    plus, minus = (minus_b + s, minus_b - s) if small else ((minus_b + s) % p, (minus_b - s) % p)
+    r1, r2 = plus * inv_2a % p, minus * inv_2a % p
+    solved = np.stack((np.minimum(r1, r2), np.maximum(r1, r2)), axis=1)
+    solved[d == 0, 1] = -1
+    if not residue.all():
+        if period is not None:
+            raise ConsistencyError(f"the period table of {f.delta} is wrong mod {p[~residue][0]}")
+        solved[~residue] = -1
+    _check_roots(f, p, solved)
+    rows = np.full((primes.size, 2), -1, dtype=np.int64)
+    rows[solve] = solved
+    return rows
 
 
 def _check_roots(f: AdmissiblePolynomial, p: np.ndarray, rows: np.ndarray) -> None:
     """Raise ConsistencyError unless (a r + b) r + c = 0 (mod p) for every
     root r >= 0 of every row; a real check, so it also runs under python -O."""
-    a, b, c = (_mod_each(k, p)[:, None] for k in (f.a, f.b, f.c))
-    pc = p[:, None]
-    bad = (rows >= 0) & (((a * rows % pc + b) % pc * rows % pc + c) % pc != 0)
+    a, b, c = (_mod_each(k, p) for k in (f.a, f.b, f.c))
+    small = p.max(initial=0) < _CUBE_SAFE
+    bad = np.zeros(p.size, dtype=bool)
+    for r in rows.T:
+        value = (a * r + b) * r + c if small else (a * r % p + b) % p * r + c
+        bad |= (r >= 0) & (value % p != 0)
     if bad.any():
-        i = int(np.flatnonzero(bad.any(axis=1))[0])
+        i = int(np.flatnonzero(bad)[0])
         raise ConsistencyError(f"{rows[i].tolist()} mod {p[i]} are not all roots of {f}")
 
 

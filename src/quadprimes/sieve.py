@@ -102,9 +102,10 @@ def _max_value(f: AdmissiblePolynomial, domain: EnumerationDomain) -> int:
 def _strike_rows(table: PrimeRootTable) -> tuple[np.ndarray, ...]:
     """The table flattened to (p, r, int32 position in table.primes) per root,
     p ascending; then the prime at each position, and ABOVE_KEYS at T."""
-    rows, cols = np.nonzero(table.roots >= 0)
+    flat = np.flatnonzero(table.roots >= 0)  # root j of row i sits at 2 i + j
+    rows = flat >> 1
     prime_at = np.append(table.primes, ABOVE_KEYS)
-    return table.primes[rows], table.roots[rows, cols], rows.astype(np.int32), prime_at
+    return table.primes[rows], table.roots.take(flat), rows.astype(np.int32), prime_at
 
 
 def _scatter_min(

@@ -119,6 +119,39 @@ def test_main_term_budget_fails_before_the_sieve(capsys, monkeypatch):
                    "exceeds budget 10000000\n")
 
 
+def test_analyze_gives_v_the_prime_budget_it_checks_before_the_sieve(capsys, monkeypatch):
+    # DEFAULT_PRIME_BUDGET read at call time: one below |A| exits 3 before the
+    # sieve, and at |A| V runs under that budget, not the one bound at import
+    from quadprimes import analytic, cli
+    from quadprimes.polynomial import validate
+
+    a_count = sieve.enumeration_domain(validate(1, 1, 41), 10**4).cardinality_a
+    argv = ("analyze", "-a", "1", "-b", "1", "-c", "41", "-N", "10000", "--no-record")
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the sieve ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "DEFAULT_PRIME_BUDGET", a_count - 1)
+        patch.setattr(cli, "sieve_pi", no_sieve)
+        code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err == (f"error: BudgetExceeded: prime enumeration to {a_count} "
+                   f"exceeds budget {a_count - 1}\n")
+
+    budgets = []
+    v_product = analytic.v_product
+
+    def recording(*args, prime_budget, **kwargs):
+        budgets.append(prime_budget)
+        return v_product(*args, prime_budget=prime_budget, **kwargs)
+
+    monkeypatch.setattr(cli, "DEFAULT_PRIME_BUDGET", a_count)
+    monkeypatch.setattr(analytic, "v_product", recording)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and budgets == [a_count]
+
+
 def test_scan_table_skips_inadmissible(capsys, tmp_path):
     code, out, _ = run(
         capsys, "scan", "--a-range", "1:1", "--b-range", "0:1",

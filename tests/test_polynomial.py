@@ -25,9 +25,10 @@ from quadprimes.polynomial import (
     roots_mod_prime,
     validate,
 )
-from quadprimes.primes import primes_upto
+from quadprimes.primes import is_prime, primes_upto
 
 from oracles import brute_domain, poly_value, rand_admissible
+from test_sieve import _raises_consistency_error_under_python_O
 
 
 def test_validate_accepts_known_admissible():
@@ -347,3 +348,91 @@ def test_period_table_calling_every_class_a_residue_raises(monkeypatch):
     monkeypatch.setattr(polynomial, "_chi_upto", lambda d, limit: np.ones(limit + 1, np.int8))
     with pytest.raises(ConsistencyError, match="period table"):
         prime_root_table(validate(1, 1, 41), 1000)
+
+
+# primes on both sides of 2^21, where _pow_mod and _check_roots go from one
+# reduction per product to two, and up to MAX_TABLE_PRIME; 65537 (q = 1),
+# 786433 = 3 * 2^18 + 1 and 2013265921 = 15 * 2^27 + 1 run Tonelli-Shanks deep
+BELOW_2_21 = [65537, 786433] + [q for q in range(2**21 - 300, 2**21) if is_prime(q)]
+ABOVE_2_21 = [q for q in range(2**21, 2**21 + 300) if is_prime(q)]
+NEAR_MAX = [2013265921] + [q for q in range(MAX_TABLE_PRIME - 300, MAX_TABLE_PRIME) if is_prime(q)]
+PRIME_GROUPS = (BELOW_2_21, ABOVE_2_21, NEAR_MAX, BELOW_2_21 + ABOVE_2_21 + NEAR_MAX)
+
+
+def test_pow_mod_and_legendre_match_pow_across_the_one_reduction_bound():
+    assert 3037000493 in NEAR_MAX and {q % 8 for q in BELOW_2_21} == {1, 3, 5, 7}
+    rng = random.Random(21)
+    for primes in PRIME_GROUPS:
+        p = np.array(primes, dtype=np.int64)
+        # (p - 1)^3 as one product overflows int64 just above 2^21
+        cases = [([q - 1 for q in primes], [3] * len(primes))]
+        cases += [([rng.randrange(q) for q in primes], [rng.randrange(2 * q) for q in primes])
+                  for _ in range(4)]
+        for base, exp in cases:
+            got = polynomial._pow_mod(np.array(base), np.array(exp), p)
+            assert got.tolist() == [pow(*bxq) for bxq in zip(base, exp, primes)]
+        # |x| above the prime count, so legendre takes Euler's criterion
+        for x in (-163, 2**61 + 1, -(2**80) - 3, rng.randrange(-(2**62), 2**62)):
+            euler = [pow(x, (q - 1) // 2, q) for q in primes]
+            assert legendre(x, p).tolist() == [-1 if r > 1 else r for r in euler], x
+    # a composite raises on either side of the bound
+    for primes, n in ((BELOW_2_21, 2**21 - 1), (NEAR_MAX, MAX_TABLE_PRIME)):
+        with pytest.raises(ConsistencyError, match="not prime"):
+            legendre(-163, np.array(primes + [n], dtype=np.int64))
+
+
+def test_root_rows_match_per_prime_solver_across_the_one_reduction_bound():
+    for a, b, c in (
+        (1, 1, 41),
+        (-30, 397, -11),
+        (-1, -1, 2097169),  # the root p - 1 mod 2097169 makes f's value near p^3
+        (1, 0, 2097143),  # delta = -4 * 2097143: a double root mod that prime
+        (2097211, 1, 1),  # a prime above 2^21 divides a
+        (3, 2**64 + 1, -(2**80) - 3),
+    ):
+        f = validate(a, b, c)
+        periods = [None]
+        if abs(f.delta) < 10**7:
+            periods.append(polynomial.chi_period(f.delta, abs(f.delta)))
+        for primes in PRIME_GROUPS:
+            p = np.array(primes, dtype=np.int64)
+            want = [list(roots_mod_prime(f, q).roots) for q in primes]
+            want = [r + [-1] * (2 - len(r)) for r in want]
+            for period in periods:
+                assert polynomial._root_rows(f, p, period).tolist() == want, (a, b, c)
+            rows = np.array(want)
+            with pytest.raises(ConsistencyError, match="not all roots"):
+                polynomial._check_roots(f, p, np.where(rows >= 0, (rows + 1) % p[:, None], rows))
+
+
+def _wrong_period_rows(p):
+    """Root rows of x^2 + x + 41 mod p from a period table that calls
+    (-163/p) = -1 a residue; x^2 + x + 41 has no root mod a prime below 41."""
+    f = validate(1, 1, 41)
+    period = polynomial.chi_period(f.delta, 163).copy()
+    period[p] = 1
+    return polynomial._root_rows(f, np.array([p], dtype=np.int64), period)
+
+
+@pytest.mark.parametrize("p", [7, 13, 17])  # 3 (mod 4), 5 (mod 8), 1 (mod 8)
+def test_wrong_period_table_raises_in_each_class(p):
+    with pytest.raises(ConsistencyError, match="period table"):
+        _wrong_period_rows(p)
+
+
+def test_wrong_period_table_raises_in_each_class_under_python_O():
+    _raises_consistency_error_under_python_O("""
+        import numpy as np
+        from quadprimes import polynomial
+        from quadprimes.errors import ConsistencyError
+
+        f = polynomial.validate(1, 1, 41)
+        for p in (7, 13, 17):
+            period = polynomial.chi_period(f.delta, 163).copy()
+            period[p] = 1
+            try:
+                polynomial._root_rows(f, np.array([p]), period)
+            except ConsistencyError:
+                continue
+            raise SystemExit(1)
+    """)
