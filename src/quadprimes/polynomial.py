@@ -473,11 +473,10 @@ def _odd_root_rows(
     s[n2:m] = d1 * v % p1 * (two_d * v % p1 * v % p1 - 1) % p1
     s[:n2] = _tonelli_shanks(d[:n2], s[:n2], power[:n2], p[:n2], e)
     residue = s * s % p == d
-    small = p.max(initial=0) < _CUBE_SAFE
     minus_b = _mod_each(-f.b, p)
     inv_2a = _inverse_mod(_mod_each(2 * f.a, p), p)
-    plus, minus = (minus_b + s, minus_b - s) if small else ((minus_b + s) % p, (minus_b - s) % p)
-    r1, r2 = plus * inv_2a % p, minus * inv_2a % p
+    r1 = (minus_b + s) % p * inv_2a % p
+    r2 = (minus_b - s) % p * inv_2a % p
     solved = np.stack((np.minimum(r1, r2), np.maximum(r1, r2)), axis=1)
     solved[d == 0, 1] = -1
     if not residue.all():

@@ -28,7 +28,6 @@ from quadprimes.polynomial import (
 from quadprimes.primes import is_prime, primes_upto
 
 from oracles import brute_domain, poly_value, rand_admissible
-from test_sieve import _raises_consistency_error_under_python_O
 
 
 def test_validate_accepts_known_admissible():
@@ -418,21 +417,3 @@ def _wrong_period_rows(p):
 def test_wrong_period_table_raises_in_each_class(p):
     with pytest.raises(ConsistencyError, match="period table"):
         _wrong_period_rows(p)
-
-
-def test_wrong_period_table_raises_in_each_class_under_python_O():
-    _raises_consistency_error_under_python_O("""
-        import numpy as np
-        from quadprimes import polynomial
-        from quadprimes.errors import ConsistencyError
-
-        f = polynomial.validate(1, 1, 41)
-        for p in (7, 13, 17):
-            period = polynomial.chi_period(f.delta, 163).copy()
-            period[p] = 1
-            try:
-                polynomial._root_rows(f, np.array([p]), period)
-            except ConsistencyError:
-                continue
-            raise SystemExit(1)
-    """)
