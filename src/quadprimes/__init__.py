@@ -11,10 +11,8 @@ from .analytic import (
     BuchstabReport,
     MainTermReport,
     buchstab,
-    delta_sum,
     main_term_report,
     v_product,
-    w_product,
 )
 from .character import (
     ExceptionalityMetrics,
@@ -24,7 +22,6 @@ from .character import (
     kronecker,
     l_one,
     l_one_class_number_oracle,
-    lambda_,
     metrics,
 )
 from .errors import (
@@ -114,7 +111,6 @@ __all__ = [
     "append_record",
     "buchstab",
     "class_number",
-    "delta_sum",
     "enumeration_domain",
     "find_latest",
     "from_json_line",
@@ -123,7 +119,6 @@ __all__ = [
     "kronecker",
     "l_one",
     "l_one_class_number_oracle",
-    "lambda_",
     "load_records",
     "main_term_report",
     "metrics",
@@ -136,5 +131,4 @@ __all__ = [
     "to_json_line",
     "v_product",
     "validate",
-    "w_product",
 ]

@@ -2,7 +2,7 @@
 function, and the main-term comparison A * V(A) against the exact prime
 count.
 
-V and W are products of factors num/den over the primes. Each is taken as a
+V is a product of factors num/den over the primes. It is taken as a
 pairwise product of double words (Dekker's error-free transforms) that
 carries a rigorous relative error bound. Its nearest double is returned when
 an exact integer check shows that the bound keeps the product clear of every
@@ -25,7 +25,6 @@ from .polynomial import (
     AdmissiblePolynomial,
     PrimeRootTable,
     check_table_limit,
-    legendre,
     prime_rho,
 )
 from .polynomial import roots_mod_prime  # noqa: F401  (bench/tracer.py wraps this name)
@@ -171,37 +170,6 @@ def v_product(
     if (rho == primes).any():
         return 0.0
     return _product_of_quotients(primes - rho, primes)
-
-
-def w_product(
-    delta: int, u: float, *, prime_budget: int = DEFAULT_PRIME_BUDGET
-) -> float:
-    """W(u) = prod_{p < u} (1 - 1/p)(1 - chi_Delta(p)/p), rounded to the
-    nearest double as V is; chi_Delta(p) from legendre."""
-    _check_prime_range(u, prime_budget)
-    primes = primes_upto(math.ceil(u) - 1)
-    chi = legendre(delta, primes)
-    return _product_of_quotients(
-        np.concatenate((primes - 1, primes - chi)), np.concatenate((primes, primes))
-    )
-
-
-def delta_sum(
-    delta: int, x: float, a_count: int, *, prime_budget: int = DEFAULT_PRIME_BUDGET
-) -> float:
-    """delta(x) = sum_{x <= p <= A} lambda(p)/p with lambda(p) = 1 + chi_Delta(p),
-    summed exactly and rounded once by math.fsum; chi_Delta(p) from
-    legendre. Zero when x > A."""
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    if a_count < 1:
-        raise ValueError("a_count must be >= 1")
-    if a_count > prime_budget:
-        raise BudgetExceeded(f"prime enumeration to {a_count} exceeds budget {prime_budget}")
-    primes = primes_upto(a_count)
-    chi = legendre(delta, primes)
-    keep = primes >= x
-    return math.fsum(((1 + chi[keep]) / primes[keep]).tolist())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""The real character chi_Delta(n) = (Delta/n), its divisor convolution
-lambda = 1*chi, rigorous evaluation of L(1, chi_Delta), a class-number
-oracle for negative fundamental discriminants, and the exceptionality
-metrics beta, L, B, g(Delta) derived from L(1, chi_Delta).
+"""The real character chi_Delta(n) = (Delta/n), rigorous evaluation of
+L(1, chi_Delta), a class-number oracle for negative fundamental
+discriminants, and the exceptionality metrics beta, L, B, g(Delta) derived
+from L(1, chi_Delta).
 
 L(1, chi_Delta) comes from the series of the functional equation (H. Cohen,
 GTM 138, ch. 5) at the fundamental part D of Delta = D*m^2, q = |D|,
@@ -35,7 +35,7 @@ from .errors import (
     UndefinedSymbol,
 )
 from .polynomial import AdmissiblePolynomial, _chi_upto, _ragged_blocks
-from .primes import TRIAL_DIVISION_LIMIT, factorize, is_prime, trial_division
+from .primes import TRIAL_DIVISION_LIMIT, is_prime, trial_division
 
 # the most series terms l_one builds; 9e6 terms peak at about 90 MB
 DEFAULT_CUTOFF_CAP = 10**7
@@ -48,8 +48,10 @@ TERM_ULPS = 32
 _EPS = 2.0**-52
 # series terms evaluated per array, so that no array outgrows a few MB
 _BLOCK = 1 << 16
-# (b, a) pairs tested per array in class_number, 128 KB per int64 array
-_FORM_BLOCK = 1 << 14
+# (b, a) pairs tested per array in class_number, 64 KB per int64 array. At
+# 128 KB they sit at glibc's default mmap and trim thresholds, and on some
+# heap layouts each block's pages go back to the OS and fault in again.
+_FORM_BLOCK = 1 << 13
 
 
 def kronecker(delta: int, n: int) -> int:
@@ -97,25 +99,6 @@ def is_discriminant(delta: int) -> bool:
 def _require_discriminant(delta: int) -> None:
     if not is_discriminant(delta):
         raise NotADiscriminant(f"{delta} is not a non-square discriminant (need 0 or 1 mod 4)")
-
-
-def lambda_(delta: int, n: int) -> int:
-    """The divisor convolution (1*chi_Delta)(n) = sum over d|n of chi_Delta(d).
-
-    Multiplicative; on primes it is 1 + chi_Delta(p). Nonnegative for every
-    discriminant because each local factor is a geometric character sum.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = 1
-    for p, e in factorize(n):
-        chi_p = kronecker(delta, p)
-        if chi_p == 1:
-            out *= e + 1
-        elif chi_p == -1 and e % 2 == 1:
-            return 0
-        # chi_p == 0 or (-1 with even e): factor 1
-    return out
 
 
 def _fundamental_part(delta: int) -> tuple[int, list[int]]:
@@ -277,7 +260,7 @@ class ExceptionalityMetrics:
 
     The *_radius fields propagate the L-value error bound through the logs
     as interval arithmetic; b_cap is exact in the inputs and carries none.
-    s_diagnostic is 0.5*sqrt(beta/B), defined only when beta > 0.
+    l_cap is the paper's L; no command prints it yet.
     """
 
     delta: int
@@ -293,7 +276,6 @@ class ExceptionalityMetrics:
     g_delta: float
     g_delta_radius: float
     hypotheses_hold: bool
-    s_diagnostic: float | None
 
 
 def _g_of_beta(delta: int, abs_a: int, beta: float) -> float:
@@ -361,8 +343,6 @@ def metrics(
         n_ceiling = math.inf
     hypotheses = abs_a <= math.exp(beta / 5.0) and g_mid <= n_value <= n_ceiling
 
-    s_diag = 0.5 * math.sqrt(beta / b_cap) if beta > 0 else None
-
     return ExceptionalityMetrics(
         delta=f.delta,
         n_value=n_value,
@@ -377,5 +357,4 @@ def metrics(
         g_delta=g_mid,
         g_delta_radius=g_radius,
         hypotheses_hold=hypotheses,
-        s_diagnostic=s_diag,
     )

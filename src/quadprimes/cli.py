@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Subcommands: analyze (one polynomial end to end), scan (a coefficient
-family), buchstab (identity check), lfun (L(1, chi_Delta) only), verify
-(internal cross-check suite).
+family), buchstab (identity check), lfun (L(1, chi_Delta) only).
 
 Settings resolve with precedence flag > environment (QUADPRIMES_*) > config
 file (key=value lines) > built-in defaults. Exit codes: 0 success,
@@ -15,10 +14,8 @@ import argparse
 import functools
 import math
 import os
-import random
 import sys
 from dataclasses import dataclass, fields
-from math import gcd, isqrt
 
 from . import __version__, character, sieve
 from .analytic import (
@@ -26,27 +23,22 @@ from .analytic import (
     buchstab,
     main_term_needs_v,
     main_term_report,
-    v_product,
-    w_product,
 )
 from .character import (
     is_fundamental_discriminant,
-    kronecker,
     l_one,
     l_one_class_number_oracle,
     metrics,
 )
 from .errors import (
-    ConsistencyError,
     DegenerateA,
     QuadprimesError,
     SpecParseError,
     ValidationError,
 )
-from .polynomial import enumeration_domain, rho, roots_mod_prime, validate
-from .primes import is_prime, primes_upto
+from .polynomial import validate
 from .records import RunRecord, append_record, json_line, utc_timestamp
-from .sieve import SieveBudget, a_d_count, sieve_pi
+from .sieve import SieveBudget, sieve_pi
 
 ENV_PREFIX = "QUADPRIMES_"
 FORMATS = ("table", "records")
@@ -216,11 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lf.add_argument("--tol", type=float, default=None)
     _add_budget_flags(p_lf)
     p_lf.set_defaults(func=cmd_lfun)
-
-    p_ve = subs.add_parser("verify", help="run the internal cross-check suite")
-    p_ve.add_argument("--seed", type=_parse_int, default=20260814)
-    _add_budget_flags(p_ve)
-    p_ve.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -451,209 +438,6 @@ def cmd_lfun(args: argparse.Namespace, settings: Settings) -> int:
         print("consistency failure: erfc series disagrees with oracle", file=sys.stderr)
         return 4
     return 0
-
-
-# ---------------------------------------------------------------------------
-# verify: randomized cross-checks of independent code paths
-
-
-def _expect(cond: bool, detail: object = "") -> None:
-    """A verify check that also runs under python -O, unlike assert."""
-    if not cond:
-        raise ConsistencyError(detail)
-
-
-def _random_poly(rng: random.Random):
-    while True:
-        a = rng.randint(-8, 8)
-        b = rng.randint(-30, 30)
-        c = rng.randint(-60, 60)
-        try:
-            return validate(a, b, c)
-        except ValidationError:
-            continue
-
-
-def _check_kronecker_euler(rng: random.Random) -> str:
-    odd_primes = primes_upto(500)[1:].tolist()
-    trials = 0
-    for _ in range(400):
-        delta = rng.randint(-400, 400)
-        p = rng.choice(odd_primes)
-        euler = pow(delta % p, (p - 1) // 2, p)
-        expect = 0 if euler == 0 else 1 if euler == 1 else -1
-        got = kronecker(delta, p)
-        _expect(got == expect, (delta, p, got, expect))
-        trials += 1
-    # complete multiplicativity on random pairs
-    for _ in range(400):
-        delta = rng.choice((-163, -20, 5, 13, 21, -4, 8, -7))
-        m, n = rng.randint(1, 4000), rng.randint(1, 4000)
-        _expect(kronecker(delta, m * n) == kronecker(delta, m) * kronecker(delta, n))
-        _expect(kronecker(delta, m + abs(delta)) == kronecker(delta, m))
-        trials += 1
-    return f"{trials} trials"
-
-
-def _check_roots_vs_enumeration(rng: random.Random) -> str:
-    plist = primes_upto(97).tolist()
-    trials = 0
-    for _ in range(40):
-        f = _random_poly(rng)
-        for p in plist:
-            brute = tuple(n for n in range(p) if f(n) % p == 0)
-            got = roots_mod_prime(f, p).roots
-            _expect(got == brute, (f, p, got, brute))
-            _expect(len(got) <= 2)
-            trials += 1
-    return f"{trials} prime/poly pairs"
-
-
-def _check_rho_multiplicative(rng: random.Random) -> str:
-    trials = 0
-    for _ in range(60):
-        f = _random_poly(rng)
-        d1, d2 = rng.randint(1, 120), rng.randint(1, 120)
-        if gcd(d1, d2) != 1:
-            continue
-        d = d1 * d2
-        brute = sum(1 for n in range(d) if f(n) % d == 0)
-        _expect(rho(f, d) == brute == rho(f, d1) * rho(f, d2), (f, d1, d2))
-        trials += 1
-    return f"{trials} coprime pairs"
-
-
-def _check_domain_brute(rng: random.Random) -> str:
-    trials = 0
-    for _ in range(120):
-        f = _random_poly(rng)
-        n_value = rng.randint(1, 5000)
-        dom = enumeration_domain(f, n_value)
-        if dom.intervals:
-            span_lo = min(lo for lo, _ in dom.intervals) - 60
-            span_hi = max(hi for _, hi in dom.intervals) + 60
-        else:
-            span_lo, span_hi = -400, 400
-        member = set()
-        for lo, hi in dom.intervals:
-            member.update(range(lo, hi + 1))
-        brute = {n for n in range(span_lo, span_hi + 1) if 0 <= f(n) <= n_value}
-        _expect(member == brute, (f, n_value))
-        _expect(dom.cardinality_a == len(brute))
-        if dom.x_length >= 2:
-            _expect(dom.x_length - 2 < dom.cardinality_a < dom.x_length + 2)
-        trials += 1
-    return f"{trials} domains"
-
-
-def _check_sieve_direct(rng: random.Random, settings: Settings) -> str:
-    trials = 0
-    for _ in range(25):
-        f = _random_poly(rng)
-        n_value = rng.randint(50, 20000)
-        res = sieve_pi(f, n_value, budget=settings.budget())
-        direct = 0
-        for lo, hi in res.domain.intervals:
-            direct += sum(1 for n in range(lo, hi + 1) if is_prime(f(n)))
-        _expect(res.pi_f == direct, (f, n_value, res.pi_f, direct))
-        trials += 1
-    return f"{trials} sieve runs"
-
-
-def _check_lfun_oracle(settings: Settings) -> str:
-    cases = (-3, -4, -15, -55, -163)
-    for delta in cases:
-        value, bound = l_one(delta, 1e-6, cutoff_cap=settings.l_cutoff)
-        oracle = l_one_class_number_oracle(delta)
-        _expect(abs(value - oracle) <= bound + 1e-12, (delta, value, oracle, bound))
-    return f"{len(cases)} discriminants"
-
-
-def _check_buchstab(rng: random.Random, settings: Settings) -> str:
-    trials = 0
-    for _ in range(30):
-        f = _random_poly(rng)
-        n_value = rng.randint(200, 30000)
-        z = rng.uniform(2, isqrt(n_value))
-        flag = rng.random() < 0.5
-        rep = buchstab(f, n_value, z, include_sqrt_n=flag, budget=settings.budget())
-        _expect(rep.identity_residual == 0, (f, n_value, z, flag))
-        trials += 1
-    return f"{trials} identities"
-
-
-def _check_congruence_counts(rng: random.Random) -> str:
-    trials = 0
-    for _ in range(80):
-        f = _random_poly(rng)
-        n_value = rng.randint(100, 20000)
-        d = rng.randint(1, 200)
-        dom = enumeration_domain(f, n_value)
-        cc = a_d_count(f, n_value, d, domain=dom)
-        brute = 0
-        for lo, hi in dom.intervals:
-            brute += sum(1 for n in range(lo, hi + 1) if f(n) % d == 0)
-        _expect(cc.a_d == brute, (f, n_value, d))
-        _expect(abs(cc.r_d) < 2 * cc.rho_d or cc.r_d == 0)
-        if len(dom.intervals) == 1:
-            _expect(cc.within_rho, (f, n_value, d))
-        trials += 1
-    return f"{trials} moduli"
-
-
-def _check_segment_determinism() -> str:
-    f = validate(1, 1, 41)
-    short = sieve_pi(f, 10**5, budget=SieveBudget(segment_size=64))
-    whole = sieve_pi(f, 10**5, budget=SieveBudget())
-    _expect(short == whole)
-    return "segment_size 64 == default"
-
-
-def _check_wv_ratio(rng: random.Random) -> str:
-    # Diagnostic only: record the empirical bracket of W(u)/V(u), never a
-    # hard bound.  Ratios must merely be positive and finite.
-    lo, hi = math.inf, 0.0
-    samples = 0
-    for _ in range(60):
-        f = _random_poly(rng)
-        u = rng.uniform(2.0, 500.0)
-        v = v_product(f, u)
-        if v == 0.0:
-            continue
-        ratio = w_product(f.delta, u) / v
-        _expect(math.isfinite(ratio) and ratio > 0.0, (f, u, ratio))
-        lo, hi = min(lo, ratio), max(hi, ratio)
-        samples += 1
-    _expect(samples > 0)
-    bracket = max(hi, 1.0 / lo)
-    return f"{samples} samples, W/V in [{lo:.4g}, {hi:.4g}], C={bracket:.4g}"
-
-
-def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
-    rng = random.Random(args.seed)
-    checks = [
-        ("kronecker-euler", lambda: _check_kronecker_euler(rng)),
-        ("roots-mod-prime", lambda: _check_roots_vs_enumeration(rng)),
-        ("rho-multiplicative", lambda: _check_rho_multiplicative(rng)),
-        ("enumeration-domain", lambda: _check_domain_brute(rng)),
-        ("sieve-vs-direct", lambda: _check_sieve_direct(rng, settings)),
-        ("lfun-class-number", lambda: _check_lfun_oracle(settings)),
-        ("buchstab-residual", lambda: _check_buchstab(rng, settings)),
-        ("congruence-counts", lambda: _check_congruence_counts(rng)),
-        ("segment-determinism", _check_segment_determinism),
-        ("wv-ratio", lambda: _check_wv_ratio(rng)),
-    ]
-    failures = 0
-    for name, run in checks:
-        try:
-            detail = run()
-        except ConsistencyError as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"ok   {name} ({detail})")
-    print(f"{len(checks)} checks, {failures} failed")
-    return 4 if failures else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,7 +17,6 @@ from quadprimes.character import (
     kronecker,
     l_one,
     l_one_class_number_oracle,
-    lambda_,
 )
 from quadprimes.polynomial import (
     EnumerationDomain,
@@ -150,10 +149,9 @@ def test_05_rho_dominated_by_lambda_on_squarefree_moduli():
                 rho_d *= rho_p[p]
                 lam_d *= lam_p[p]
             assert rho_d <= lam_d, (a, b, c, d)
-        # spot-check the table products against the public functions
+        # spot-check the table products against the public function
         for d, ps in rng.sample(factored, 25):
             assert rho(f, d) == math.prod(rho_p[p] for p in ps)
-            assert lambda_(f.delta, d) == math.prod(lam_p[p] for p in ps)
 
 
 def test_06_l_function_accuracy_and_classnumber_sweep():

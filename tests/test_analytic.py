@@ -9,12 +9,9 @@ from quadprimes import analytic
 from quadprimes.analytic import (
     _certified_double,
     buchstab,
-    delta_sum,
     main_term_report,
     v_product,
-    w_product,
 )
-from quadprimes.character import kronecker
 from quadprimes.errors import BudgetExceeded, ConsistencyError
 from quadprimes.polynomial import prime_root_table, roots_mod_prime, validate
 from quadprimes.primes import primes_upto
@@ -76,12 +73,6 @@ def _exact_v(f, z):
     return float(Fraction(math.prod(p - r for p, r in zip(primes, rho)), math.prod(primes)))
 
 
-def _exact_w(delta, u):
-    primes = primes_upto(math.ceil(u) - 1).tolist()
-    return float(Fraction(math.prod((p - 1) * (p - kronecker(delta, p)) for p in primes),
-                          math.prod(p * p for p in primes)))
-
-
 V_CASES = (
     ((1, 1, 41), (2, 17, 3000, 54321.5, 10**5)),
     ((-3, 7, 11), (100.5, 10**5)),
@@ -130,7 +121,6 @@ def test_double_word_product_is_within_its_bound():
 def test_exact_fallback_gives_the_certified_values(monkeypatch):
     cases = [(validate(*coefficients), z) for coefficients, zs in V_CASES for z in zs]
     certified = [v_product(f, z) for f, z in cases]
-    certified_w = [w_product(delta, u) for delta in (-163, 5, 2**64 + 1) for u in (50, 5000.5)]
     results = []
 
     def refusing(*args):
@@ -141,9 +131,8 @@ def test_exact_fallback_gives_the_certified_values(monkeypatch):
     monkeypatch.setattr(analytic, "PRODUCT_ERROR", 1.0)
     monkeypatch.setattr(analytic, "_certified_double", refusing)
     assert [v_product(f, z) for f, z in cases] == certified
-    assert [w_product(delta, u) for delta in (-163, 5, 2**64 + 1) for u in (50, 5000.5)] \
-        == certified_w
-    assert len(results) > len(cases) and not any(results)
+    # one refused certificate per non-empty product: all but z = 2 and 17 for x^2+x+41
+    assert len(results) == sum(v < 1.0 for v in certified) == 11 and not any(results)
 
 
 def test_euler_criterion_refuses_a_composite(monkeypatch):
@@ -153,52 +142,6 @@ def test_euler_criterion_refuses_a_composite(monkeypatch):
     )
     with pytest.raises(ConsistencyError):
         v_product(f, 20)
-    with pytest.raises(ConsistencyError):
-        w_product(f.delta, 20)
-
-
-def test_w_product_matches_fraction_reference():
-    rng = random.Random(21)
-    for delta in (-163, -4, -3, 5, 8, 40):
-        for _ in range(8):
-            u = rng.uniform(2, 400)
-            want = Fraction(1)
-            for p in SMALL_PRIMES:
-                if p >= u:
-                    break
-                want *= Fraction(p - 1, p) * Fraction(p - kronecker(delta, p), p)
-            assert w_product(delta, u) == float(want), (delta, u)
-    for delta, u in ((-163, 10**5), (2**64 + 1, 31337.5), (-4 * 10**12 - 3, 54321)):
-        assert w_product(delta, u) == _exact_w(delta, u), (delta, u)
-    assert w_product(-4, 10) == float(Fraction(1, 2) * Fraction(8, 9) * Fraction(16, 25)
-                                      * Fraction(48, 49))
-
-
-def test_delta_sum_matches_direct_sum():
-    rng = random.Random(22)
-    for delta in (-163, -4, 5, 21):
-        for _ in range(10):
-            x = rng.uniform(2, 50)
-            a_count = rng.randint(2, 500)
-            want = math.fsum(
-                (1 + kronecker(delta, p)) / p
-                for p in SMALL_PRIMES
-                if x <= p <= a_count
-            )
-            assert delta_sum(delta, x, a_count) == pytest.approx(want, abs=1e-15)
-    assert delta_sum(-4, 100, 50) == 0.0  # empty range
-
-
-def test_delta_sum_equals_the_per_prime_kronecker_sum():
-    # residues 0..7 mod 8 (chi(2) from kronecker), an even fundamental Delta,
-    # p | Delta for a non-fundamental one, |Delta| > 2^63, non-integer x
-    deltas = (-8, 17, -6, 3, -4, -3, 6, 7, 12, -163 * 25, -(2**66 + 3), 2**70 + 1)
-    primes = primes_upto(10**5).tolist()
-    for delta in deltas:
-        for x in (2, 2.5, 3, 7.5, 1000.5, 99991):
-            want = math.fsum([(1 + kronecker(delta, p)) / p for p in primes if p >= x])
-            assert delta_sum(delta, x, 10**5) == want, (delta, x)
-    assert delta_sum(-3, 2, 1) == delta_sum(-3, 10**5 + 0.5, 10**5) == 0.0
 
 
 def test_v_product_non_increasing_in_z():
@@ -210,42 +153,6 @@ def test_v_product_non_increasing_in_z():
             cur = v_product(f, z)
             assert 0 < cur <= prev, (f, z)
             prev = cur
-
-
-def test_w_product_positive_and_non_increasing():
-    for delta in (-163, -4, 5, 40):
-        prev = 1.0
-        for u in (2, 3, 5, 10, 50, 200, 1000):
-            cur = w_product(delta, u)
-            assert 0 < cur <= prev, (delta, u)
-            prev = cur
-
-
-def test_delta_sum_non_negative_and_non_increasing_in_x():
-    from quadprimes.character import lambda_
-
-    for delta in (-163, -4, 5):
-        prev = None
-        for x in (2, 3, 5, 10, 40, 90):
-            cur = delta_sum(delta, x, 100)
-            assert cur >= 0
-            if prev is not None:
-                assert cur <= prev + 1e-15, (delta, x)
-            prev = cur
-    # lambda at primes agrees with the divisor-enumeration route
-    want = math.fsum(
-        lambda_(-163, p) / p for p in SMALL_PRIMES if 3 <= p <= 100
-    )
-    assert delta_sum(-163, 3, 100) == pytest.approx(want, abs=1e-15)
-
-
-def test_delta_sum_validation():
-    with pytest.raises(ValueError):
-        delta_sum(-4, 1.0, 100)
-    with pytest.raises(ValueError):
-        delta_sum(-4, 2.0, 0)
-    with pytest.raises(BudgetExceeded):
-        delta_sum(-4, 2.0, 10**9, prime_budget=10**6)
 
 
 def test_buchstab_identity_golden():

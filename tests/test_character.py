@@ -13,7 +13,6 @@ from quadprimes.character import (
     kronecker,
     l_one,
     l_one_class_number_oracle,
-    lambda_,
     metrics,
 )
 from quadprimes.errors import (
@@ -97,30 +96,6 @@ def test_chi_table_matches_symbol():
         for limit in (1, 2, 3, 4, 10, 48, 49, 50, 1000, 3568):
             table = _chi_upto(delta, limit).tolist()
             assert table == [kronecker(delta, n) for n in range(limit + 1)], (delta, limit)
-
-
-def test_lambda_is_divisor_sum_of_chi():
-    rng = random.Random(12)
-    for delta in (-163, -4, -3, 5, 13, 40):
-        for _ in range(150):
-            n = rng.randint(1, 600)
-            want = sum(kronecker(delta, d) for d in range(1, n + 1) if n % d == 0)
-            assert lambda_(delta, n) == want, (delta, n)
-            assert lambda_(delta, n) >= 0
-
-
-def test_lambda_at_primes_is_one_plus_chi():
-    for delta in (-163, -20, -4, -3, 5, 8, 13):
-        for p in SMALL_PRIMES[:100]:
-            assert lambda_(delta, p) == 1 + kronecker(delta, p), (delta, p)
-
-
-def test_lambda_edges():
-    assert lambda_(-4, 1) == 1
-    assert lambda_(-4, 25) == 3
-    assert lambda_(-4, 3) == 0
-    with pytest.raises(ValueError):
-        lambda_(-4, 0)
 
 
 def test_l_one_golden_values():
@@ -299,7 +274,6 @@ def test_metrics_beta_golden():
     assert m.beta == pytest.approx(-0.0850697, abs=2e-6)
     assert m.beta_radius >= 0
     assert m.b_cap == pytest.approx(3 * math.log(4) / math.log(199), abs=1e-12)
-    assert m.s_diagnostic is None  # beta < 0
 
 
 def test_metrics_interval_propagation():
@@ -328,7 +302,6 @@ def test_metrics_hypotheses_window():
     f = validate(1, 1, -1)  # delta = 5
     m = metrics(f, 100, 50, 1e-3, 0.0)
     assert m.beta > 0
-    assert m.s_diagnostic == pytest.approx(0.5 * math.sqrt(m.beta / m.b_cap), rel=1e-12)
     assert m.hypotheses_hold  # 1 <= e^(beta/5), g <= 100 <= 5^(beta/2)
     too_big = metrics(f, 10**9, 50, 1e-3, 0.0)
     assert not too_big.hypotheses_hold  # N above |a|*|delta|^(beta/2)

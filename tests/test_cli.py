@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import json
 import os
 import re
@@ -305,13 +307,6 @@ def test_lfun_rejects_non_discriminant(capsys):
     assert "NotADiscriminant" in err
 
 
-def test_verify_suite_passes(capsys):
-    code, out, _ = run(capsys, "verify")
-    assert code == 0
-    assert "0 failed" in out
-    assert out.count("ok ") >= 9
-
-
 def test_settings_precedence(capsys, tmp_path, monkeypatch):
     import quadprimes.cli as cli
 
@@ -472,20 +467,6 @@ def test_threads_setting_is_rejected(capsys, tmp_path):
     assert code == 2 and "unknown setting 'threads'" in err
 
 
-def test_verify_fails_under_python_O():
-    # the checks must not be bare asserts, which -O strips
-    src = str(Path(quadprimes.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    script = ("import sys, quadprimes.cli as cli\n"
-              "cli.kronecker = lambda delta, n: 1\n"
-              "sys.exit(cli.main(['verify']))\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
-    assert proc.returncode == 4, proc.stdout + proc.stderr
-    assert "FAIL kronecker-euler" in proc.stdout
-    assert "1 failed" in proc.stdout
-
-
 def test_lfun_imports_no_scipy():
     # numpy is the only declared dependency; scipy would also cost start-up time
     src = str(Path(quadprimes.__file__).resolve().parents[1])
@@ -505,6 +486,20 @@ def test_readme_configuration_table_matches_settings():
             if line.startswith("|")]
     table = [(key.strip(), default.strip()) for key, default, _ in rows[2:]]
     assert table == [(f.name, str(f.default)) for f in fields(Settings)]
+
+
+def test_readme_commands_and_api_names_match_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = readme.split("## Commands", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert re.findall(r"^### (\S+)$", commands, re.M) == list(subparsers.choices)
+    library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"`(\w+)\(", library))
+    assert "sieve_pi" in names
+    assert names - set(quadprimes.__all__) == set()
+    for module, name in re.findall(r"`quadprimes\.(\w+)\.(\w+)\(", library):
+        assert hasattr(importlib.import_module(f"quadprimes.{module}"), name), (module, name)
 
 
 def _readme_examples() -> list[tuple[str, str]]:
@@ -635,5 +630,7 @@ def test_coefficient_and_seed_flags_are_read_as_integers(capsys):
                                  "-N", "1e3", "--no-record")
             assert (code, out) == (2, ""), (command, flag)
             assert err == "error: SpecParseError: not an integer: '1.5'\n"
-    assert run(capsys, "verify", "--seed", "1.5") == (
-        2, "", "error: SpecParseError: not an integer: '1.5'\n")
+    # verify, with its --seed, is no longer a command: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "1.5"])
+    assert exc.value.code == 2 and "invalid choice: 'verify'" in capsys.readouterr().err

@@ -312,6 +312,11 @@ def test_legendre_period_table_matches_euler():
         period = polynomial.chi_period(x, q.size)
         assert (period is None) == (abs(x) > q.size), x
         assert np.array_equal(legendre(x, q), euler_legendre(x, q)), x
+    # against kronecker at every prime to 1e5, p = 2 and p | x included: x = 2, 3,
+    # 6, 7 (mod 8), a non-fundamental x and |x| beyond int64
+    p = primes_upto(10**5)
+    for x in (-6, 3, 6, 7, -163 * 25, -(2**66 + 3), 2**70 + 1):
+        assert legendre(x, p).tolist() == [kronecker(x, q) for q in p.tolist()], x
 
 
 def test_inverse_mod_matches_pow():
