@@ -53,18 +53,13 @@ class Settings:
 
     max_n: int = sieve.DEFAULT_MAX_N
     max_sieve_prime: int = sieve.DEFAULT_MAX_SIEVE_PRIME
-    segment_size: int = sieve.DEFAULT_SEGMENT_SIZE
     l_cutoff: int = character.DEFAULT_CUTOFF_CAP
     tol: float = 1e-4
     records: str = "quadprimes-runs.jsonl"
     format: str = "table"
 
     def budget(self) -> SieveBudget:
-        return SieveBudget(
-            max_n=self.max_n,
-            max_sieve_prime=self.max_sieve_prime,
-            segment_size=self.segment_size,
-        )
+        return SieveBudget(max_n=self.max_n, max_sieve_prime=self.max_sieve_prime)
 
 
 # "int", "float" or "str": annotations stay strings under the __future__ import
@@ -138,8 +133,6 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
     settings = Settings(**values)
     if not 0 < settings.tol < math.inf:
         raise SpecParseError(f"tol must be positive and finite, got {settings.tol!r}")
-    if settings.segment_size < 1:
-        raise SpecParseError(f"segment_size must be >= 1, got {settings.segment_size}")
     return settings
 
 

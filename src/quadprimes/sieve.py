@@ -13,8 +13,8 @@ written by one np.minimum.at: the bucket sieve of Oliveira e Silva, Herzog
 and Pardi (Math. Comp. 83, 2014). A value nothing struck keeps position
 T = table size: it is 1, a prime above the strike limit, or 0 when T = 0.
 One np.bincount over the positions counts each table prime as an lpf; the
-values f(n) themselves are computed only on the runs of n where
-f(n) <= isqrt(N), the only values a count reads.
+values f(n) themselves are computed only where f(n) <= isqrt(N), the only
+values a count reads: on the enumeration domain for isqrt(N), solved once.
 
 The histogram keys every lpf up to isqrt(N) exactly and pools anything
 larger into a single bucket, which is all the resolution the sifting counts
@@ -33,8 +33,6 @@ from .polynomial import (
     AdmissiblePolynomial,
     EnumerationDomain,
     PrimeRootTable,
-    _ceil_shifted_sqrt,
-    _floor_shifted_sqrt,
     enumeration_domain,
     prime_root_table,
     roots_mod,
@@ -44,7 +42,8 @@ from .primes import _mod_each, is_prime, primes_upto  # noqa: F401  (primes_upto
 
 DEFAULT_MAX_N = 10**12
 DEFAULT_MAX_SIEVE_PRIME = 2 * 10**6
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# values per span: the kernel's arrays are this long
+SPAN = 1 << 20
 # the kernel's values are at most isqrt(N), but the root table to isqrt(max f)
 # needs p^2 < 2^63 (MAX_TABLE_PRIME): N is refused above this round bound
 MAX_SAFE_N = 10**18
@@ -57,12 +56,10 @@ ABOVE_KEYS = np.iinfo(np.int64).max
 @dataclass(frozen=True)
 class SieveBudget:
     """Resource caps for a sieve run. Exceeding one raises BudgetExceeded
-    before any heavy allocation happens. segment_size counts the values per
-    span, capping array memory."""
+    before any heavy allocation happens."""
 
     max_n: int = DEFAULT_MAX_N
     max_sieve_prime: int = DEFAULT_MAX_SIEVE_PRIME
-    segment_size: int = DEFAULT_SEGMENT_SIZE
 
 
 @dataclass(frozen=True)
@@ -138,25 +135,6 @@ def _pieces(f: AdmissiblePolynomial, domain: EnumerationDomain) -> list[tuple[in
     return [piece for piece in pieces if piece[0] <= piece[1]]
 
 
-def _runs_at_most(f: AdmissiblePolynomial, lo: int, hi: int, cap: int) -> list[tuple[int, int]]:
-    """The runs (s, e) of n in [lo, hi] with f(n) <= cap, values below 0
-    included, from the exact roots of f - cap: one run around the vertex
-    for a > 0, the two tails outside the roots for a < 0."""
-    d = f.delta + 4 * f.a * cap  # the discriminant of f - cap
-    if d <= 0 and f.a < 0:  # cap at or above the peak of f
-        return [(lo, hi)]
-    if d < 0:
-        return []
-    if f.a > 0:
-        t, q = -f.b, 2 * f.a
-        runs = [(_ceil_shifted_sqrt(t, d, q, -1), _floor_shifted_sqrt(t, d, q, +1))]
-    else:
-        t, q = f.b, -2 * f.a
-        runs = [(lo, _floor_shifted_sqrt(t, d, q, -1)), (_ceil_shifted_sqrt(t, d, q, +1), hi)]
-    runs = [(max(s, lo), min(e, hi)) for s, e in runs]
-    return [(s, e) for s, e in runs if s <= e]
-
-
 def _values(f: AdmissiblePolynomial, lo: int, hi: int) -> np.ndarray:
     """f(n) for lo <= n <= hi as int64 by two cumulative sums over f(lo),
     f(lo+1) - f(lo), then the second difference 2a (bounded by the values
@@ -178,19 +156,20 @@ def _segment_counts(
     lo: int,
     hi: int,
     strikes: tuple[np.ndarray, ...],
-    key_cap: int,
+    small: tuple[tuple[int, int], ...],
 ) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
-    """(pi, units, zeros, large, counts, apart) over n in [lo, hi], whose
-    values at most key_cap must fit int64 (one below 0 falls in no count).
-    counts[i] counts the values above 0 whose lpf is the prime at table
-    position i; apart holds the unstruck primes at most key_cap. strikes is
-    _strike_rows' (p, r, position, prime_at).
+    """(pi, units, zeros, large, counts, apart) over n in [lo, hi], a span
+    where f >= 0. small is enumeration_domain(f, key_cap).intervals: the n
+    where f(n) <= key_cap, whose values must fit int64. counts[i] counts the
+    values above 0 whose lpf is the prime at table position i; apart holds
+    the unstruck primes at most key_cap. strikes is _strike_rows' (p, r,
+    position, prime_at).
 
     A prime with at least SLICE_HITS hits in the span strikes by a slice
     write, smallest last; the others by np.minimum.at in batches of fewer
-    than 2 * length hit positions. f is evaluated only on the runs of n
-    where f(n) <= key_cap. Beside the span's lpf array and those values,
-    only per-row arrays the size of strikes are allocated."""
+    than 2 * length hit positions. f is evaluated only on small clipped to
+    the span. Beside the span's lpf array and those values, only per-row
+    arrays the size of strikes are allocated."""
     p, r, pos, prime_at = strikes
     unstruck = prime_at.size - 1
     length = hi - lo + 1
@@ -210,18 +189,19 @@ def _segment_counts(
         lpf[start::q] = at
     counts = np.bincount(lpf, minlength=unstruck + 1)
     # the units, the zeros and each prime keyed as its own lpf are at most key_cap
-    runs = _runs_at_most(f, lo, hi, key_cap)
+    runs = [(max(s, lo), min(e, hi)) for s, e in small]
+    runs = [(s, e) for s, e in runs if s <= e]
     v = np.concatenate([_values(f, s, e) for s, e in runs] or [np.zeros(0, np.int64)])
     at = np.concatenate([lpf[s - lo : e - lo + 1] for s, e in runs] or [lpf[:0]])
     below = at[v < 1]
-    if below.size:  # no bucket but the zero count holds a value below 1
+    if below.size:  # no bucket but the zero count holds a zero value
         np.subtract.at(counts, below, 1)
     units = int(np.count_nonzero(v == 1))
     apart = v[(at == unstruck) & (v > 1)]
     # an unstruck value above 1 is prime, and a struck one if it is its prime
     pi_count = int(counts[unstruck]) - units + int(np.count_nonzero(prime_at[at] == v))
     large = int(counts[unstruck]) - units - apart.size
-    zeros = int(np.count_nonzero(v == 0)) if below.size else 0
+    zeros = int(below.size)
     return pi_count, units, zeros, large, counts[:unstruck], apart
 
 
@@ -255,7 +235,7 @@ def sieve_pi(
 ) -> SieveResult:
     """Count primes among f(n) on the enumeration domain and classify every
     value by least prime factor. Every count is an exact integer, so the
-    result does not depend on the segment size. A caller that has already
+    result does not depend on the span. A caller that has already
     run checked_domain(f, n_value, budget) passes its result as domain."""
     budget = budget or SieveBudget()
     if domain is None:
@@ -268,13 +248,13 @@ def sieve_pi(
     # V(|A|) reads rho from this same table, and above it from Euler's criterion
     table = prime_root_table(f, strike_limit)
     strikes = _strike_rows(table)
+    small = enumeration_domain(f, key_cap).intervals
 
-    seg = max(budget.segment_size, 16)
     pi_f = units = zeros = large = 0
     counts, apart = np.zeros(table.primes.size, dtype=np.int64), []
     for lo, hi, weight in _pieces(f, domain):
-        for start in range(lo, hi + 1, seg):
-            part = _segment_counts(f, start, min(start + seg - 1, hi), strikes, key_cap)
+        for start in range(lo, hi + 1, SPAN):
+            part = _segment_counts(f, start, min(start + SPAN - 1, hi), strikes, small)
             pi_f, units, zeros, large = (
                 x + weight * y for x, y in zip((pi_f, units, zeros, large), part)
             )

@@ -11,6 +11,7 @@ from math import isqrt
 
 import pytest
 
+from quadprimes import sieve
 from quadprimes.analytic import buchstab, main_term_report
 from quadprimes.character import (
     is_fundamental_discriminant,
@@ -27,7 +28,6 @@ from quadprimes.polynomial import (
 )
 from quadprimes.primes import primes_upto
 from quadprimes.sieve import (
-    SieveBudget,
     a_d_count,
     s_p_count,
     sieve_pi,
@@ -189,14 +189,14 @@ def test_07_sifting_vanishes_where_character_is_minus_one():
     assert hits > 3000  # the condition must actually have been exercised
 
 
-def test_08_determinism_and_subrange_spot_checks_at_1e8():
+def test_08_determinism_and_subrange_spot_checks_at_1e8(monkeypatch):
     f = validate(1, 0, 1)
     n_value = 10**8
     base = sieve_pi(f, n_value)
     assert base.pi_f == 1682
     for seg in (1 << 10, 1 << 16, 1 << 20):
-        alt = sieve_pi(f, n_value, SieveBudget(segment_size=seg))
-        assert alt == base, seg
+        monkeypatch.setattr(sieve, "SPAN", seg)
+        assert sieve_pi(f, n_value) == base, seg
     # full-domain oracle equality, then 10 random subranges of 1e4 consecutive
     # n pushed through the segment engine against trial division
     direct = sum(
@@ -214,7 +214,8 @@ def test_08_determinism_and_subrange_spot_checks_at_1e8():
             roots = roots_mod_prime(f, p).roots
             if roots:
                 strikes.append((p, roots))
-        seg_pi = _segment_counts(f, lo, hi, strike_arrays(strikes), isqrt(vmax))[0]
+        small = enumeration_domain(f, isqrt(vmax)).intervals
+        seg_pi = _segment_counts(f, lo, hi, strike_arrays(strikes), small)[0]
         brute = sum(1 for n in range(lo, hi + 1) if trial_is_prime(f(n)))
         assert seg_pi == brute, (lo, hi)
 

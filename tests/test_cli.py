@@ -256,25 +256,6 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert err.startswith("error: SpecParseError: ") and err.count("\n") == 1
 
 
-def test_segment_size_below_one_exits_2(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("QUADPRIMES_SEGMENT_SIZE", raising=False)
-    monkeypatch.delenv("QUADPRIMES_CONFIG", raising=False)
-    poly = ["analyze", "-a", "1", "-b", "1", "-c", "41", "-N", "1000", "--no-record"]
-    cfg = tmp_path / "seg.cfg"
-    cfg.write_text("segment_size = 0\n")
-    for extra in (["--budget-segment-size", "0"], ["--budget-segment-size", "-5"],
-                  ["--config", str(cfg)]):
-        code, out, err = run(capsys, *poly, *extra)
-        assert (code, out) == (2, ""), extra
-        assert err.startswith("error: SpecParseError: segment_size") and err.count("\n") == 1
-    monkeypatch.setenv("QUADPRIMES_SEGMENT_SIZE", "-5")
-    code, out, err = run(capsys, *poly)
-    assert (code, out) == (2, "") and err.count("\n") == 1 and "Traceback" not in err
-    # one value per span is the least the setting accepts; it sieves as 16
-    monkeypatch.delenv("QUADPRIMES_SEGMENT_SIZE")
-    assert run(capsys, *poly, "--budget-segment-size", "1") == run(capsys, *poly)
-
-
 def test_buchstab_bad_z_exits_2(capsys):
     code, _, err = run(capsys, "buchstab", "-a", "1", "-b", "0", "-c", "1",
                        "-N", "100", "--z", "50")
@@ -420,7 +401,6 @@ def test_scientific_notation_accepted_for_n(capsys, tmp_path):
 _SOURCES = {
     "max_n": ("--budget-max-n", 11, 12, 13),
     "max_sieve_prime": ("--budget-max-sieve-prime", 11, 12, 13),
-    "segment_size": ("--budget-segment-size", 11, 12, 13),
     "l_cutoff": ("--budget-l-cutoff", 11, 12, 13),
     "tol": ("--tol", 0.25, 0.5, 0.125),
     "records": ("--records", "c.jsonl", "e.jsonl", "f.jsonl"),
@@ -457,14 +437,39 @@ def test_settings_defaults_are_the_library_defaults():
 
 
 def test_threads_setting_is_rejected(capsys, tmp_path):
-    poly = ["analyze", "-a", "1", "-b", "0", "-c", "1", "-N", "100", "--no-record"]
-    with pytest.raises(SystemExit) as exc:
-        main([*poly, "--threads", "2"])
-    assert exc.value.code == 2
-    cfg = tmp_path / "threads.cfg"
-    cfg.write_text("threads = 1\n")
-    code, _, err = run(capsys, *poly, "--config", str(cfg))
-    assert code == 2 and "unknown setting 'threads'" in err
+    # threads (a no-op since the LPF sieve) and segment_size (the span is a
+    # constant of the sieve) are retired: no command takes their flag or key
+    commands = [
+        ["analyze", "-a", "1", "-b", "0", "-c", "1", "-N", "100", "--no-record"],
+        ["scan", "--a-range", "1:1", "--b-range", "0:0", "--c-range", "1:1", "-N", "100",
+         "--no-record"],
+        ["buchstab", "-a", "1", "-b", "0", "-c", "1", "-N", "100", "--z", "5"],
+        ["lfun", "--delta", "-4"],
+    ]
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
+        for flag in ("--threads", "--budget-segment-size"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "2"])
+            assert exc.value.code == 2, (argv, flag)
+    capsys.readouterr()
+    for key in ("threads", "segment_size"):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, _, err = run(capsys, *commands[0], "--config", str(cfg))
+        assert code == 2 and f"unknown setting '{key}'" in err
+
+
+def test_segment_size_variable_is_ignored(capsys, monkeypatch):
+    # QUADPRIMES_SEGMENT_SIZE names no setting, so like any unknown
+    # variable it changes nothing, whatever its value
+    monkeypatch.delenv("QUADPRIMES_CONFIG", raising=False)
+    poly = ["analyze", "-a", "1", "-b", "1", "-c", "41", "-N", "1000", "--no-record"]
+    monkeypatch.delenv("QUADPRIMES_SEGMENT_SIZE", raising=False)
+    want = run(capsys, *poly)
+    assert want[0] == 0
+    monkeypatch.setenv("QUADPRIMES_SEGMENT_SIZE", "-5")
+    assert run(capsys, *poly) == want
 
 
 def test_lfun_imports_no_scipy():

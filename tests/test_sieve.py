@@ -110,23 +110,25 @@ def test_sieve_exact_when_n_is_the_peak_of_a_downward_f():
     assert checked == 3071
 
 
-def test_sieve_invariant_under_segmentation_and_threads():
+def test_sieve_invariant_under_segmentation(monkeypatch):
     f = validate(3, -1, 5)
     base = sieve_pi(f, 10**6)
     for seg in (64, 1 << 10, 1 << 14):
-        alt = sieve_pi(f, 10**6, SieveBudget(segment_size=seg))
-        assert alt == base
+        monkeypatch.setattr(sieve, "SPAN", seg)
+        assert sieve_pi(f, 10**6) == base, seg
 
 
-def test_sieve_invariant_under_segmentation_at_scale():
+def test_sieve_invariant_under_segmentation_at_scale(monkeypatch):
     # the span sizes move primes between the slice writes and the scatter
     for coeffs in ((1, 1, 41), (3, 5, -7)):
         f = validate(*coeffs)
-        base = sieve_pi(f, 10**9, SieveBudget(segment_size=1 << 20))
+        monkeypatch.setattr(sieve, "SPAN", 1 << 20)
+        base = sieve_pi(f, 10**9)
         if coeffs[0] == 3:
             assert len(base.domain.intervals) == 2
         for seg in (1 << 8, 1 << 12, 1 << 16):
-            assert sieve_pi(f, 10**9, SieveBudget(segment_size=seg)) == base, (coeffs, seg)
+            monkeypatch.setattr(sieve, "SPAN", seg)
+            assert sieve_pi(f, 10**9) == base, (coeffs, seg)
 
 
 def _slice_loop_counts(f, lo, hi, strikes, key_cap):
@@ -148,7 +150,8 @@ def _slice_loop_counts(f, lo, hi, strikes, key_cap):
 def _kernel_counts(f, lo, hi, strikes, primes, key_cap):
     """The kernel's counts with the table positions read back as primes,
     in _slice_loop_counts' form."""
-    pi, units, zeros, large, counts, apart = _segment_counts(f, lo, hi, strikes, key_cap)
+    small = enumeration_domain(f, key_cap).intervals
+    pi, units, zeros, large, counts, apart = _segment_counts(f, lo, hi, strikes, small)
     assert counts.size == len(primes)
     hist = Counter({q: int(c) for q, c in zip(primes, counts) if c})
     hist.update(apart.tolist())
@@ -174,11 +177,20 @@ def test_segment_counts_match_the_slice_loop(monkeypatch):
         arrays = _strike_rows(table)
         pairs = [(p, tuple(r for r in row if r >= 0))
                  for p, row in zip(table.primes.tolist(), table.roots.tolist()) if row[0] >= 0]
+        # each span clipped to the domain, where f >= 0, as sieve_pi's spans are;
+        # spans ending one n either side of each end of the runs f(n) <= sqrt(N)
+        # check the kernel's clip of those runs to the span
+        edges = [e + d for run in enumeration_domain(f, isqrt(10**7)).intervals
+                 for e in run for d in (-1, 0, 1)]
         for lo, hi in domain.intervals:
             mid = (lo + hi) // 2
             spans = [(lo, lo), (hi, hi), (lo, lo + 15), (hi - 15, hi), (lo + 7, lo + 1006),
-                     (max(lo, mid - 5000), min(hi, mid + 5000)), (lo, min(hi, lo + 70000))]
+                     (mid - 5000, mid + 5000), (lo, lo + 70000)]
+            spans += [span for e in edges for span in ((e, e + 40), (e - 40, e), (e, hi), (lo, e))]
             for a, b in spans:
+                a, b = max(a, lo), min(b, hi)
+                if a > b:
+                    continue
                 want = _slice_loop_counts(f, a, b, pairs, isqrt(10**7))
                 got = _kernel_counts(f, a, b, arrays, table.primes.tolist(), isqrt(10**7))
                 assert got == want, (coeffs, a, b)
@@ -193,9 +205,9 @@ def test_segment_counts_match_the_slice_loop(monkeypatch):
     assert any(this[0] is last[0] for last, this in zip(batches, batches[1:]))
 
 
-def test_lpf_histogram_matches_bruteforce_on_both_domain_shapes():
-    # 30 one-interval and 30 split domains; segment_size 16 cuts intervals
-    # into many spans, 1 << 20 keeps each interval whole
+def test_lpf_histogram_matches_bruteforce_on_both_domain_shapes(monkeypatch):
+    # 30 one-interval and 30 split domains; a span of 16 values cuts the
+    # intervals into many spans, 1 << 20 keeps each interval whole
     rng = random.Random(17)
     wanted = {1: 30, 2: 30}
     while any(wanted.values()):
@@ -207,12 +219,13 @@ def test_lpf_histogram_matches_bruteforce_on_both_domain_shapes():
             continue
         wanted[shape] -= 1
         for seg in (16, 1 << 20):
-            res = sieve_pi(f, n_value, SieveBudget(segment_size=seg))
+            monkeypatch.setattr(sieve, "SPAN", seg)
+            res = sieve_pi(f, n_value)
             got = (res.unit_count, res.large_prime_count, res.lpf_histogram)
             assert got == brute_lpf_counts(a, b, c, n_value, res.key_cap), (a, b, c, n_value, seg)
 
 
-def test_counting_branches_match_bruteforce():
+def test_counting_branches_match_bruteforce(monkeypatch):
     # a < 0 with N at least (delta/4|a|)^2 puts key_cap above every value, so
     # each prime value above the strike limit is keyed apart from the table;
     # N <= 3 leaves the root table empty, so every value is unstruck
@@ -230,7 +243,8 @@ def test_counting_branches_match_bruteforce():
         f = validate(a, b, c)
         want = brute_lpf_counts(a, b, c, n_value, isqrt(n_value))
         for seg in (16, 1 << 20):
-            res = sieve_pi(f, n_value, SieveBudget(segment_size=seg))
+            monkeypatch.setattr(sieve, "SPAN", seg)
+            res = sieve_pi(f, n_value)
             got = (res.unit_count, res.large_prime_count, res.lpf_histogram)
             assert got == want, (a, b, c, n_value, seg)
             assert res.pi_f == brute_pi(a, b, c, n_value), (a, b, c, n_value, seg)
@@ -240,7 +254,7 @@ def test_counting_branches_match_bruteforce():
     assert apart >= 20 and empty_table >= 10 and split_spans >= 20
 
 
-def test_folded_domains_match_bruteforce():
+def test_folded_domains_match_bruteforce(monkeypatch):
     # when a | b the domain is symmetric under n -> c2 - n, c2 = -b/a, and
     # only n > c2/2 is sieved, weighted 2: steer in a = +-1, +-2, +-3 with
     # an even c2 whose centre lies inside the domain (a piece of weight 1,
@@ -276,7 +290,8 @@ def test_folded_domains_match_bruteforce():
         assert all(lo > c2 / 2 for lo, _, w in pieces if w == 2)
         want = brute_lpf_counts(a, b, c, n_value, isqrt(n_value))
         for seg in (16, 1 << 20):
-            res = sieve_pi(f, n_value, SieveBudget(segment_size=seg))
+            monkeypatch.setattr(sieve, "SPAN", seg)
+            res = sieve_pi(f, n_value)
             assert (res.unit_count, res.large_prime_count, res.lpf_histogram) == want, (
                 a, b, c, n_value, seg)
             assert res.pi_f == brute_pi(a, b, c, n_value), (a, b, c, n_value, seg)
