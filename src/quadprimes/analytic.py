@@ -81,20 +81,22 @@ def _double_word_quotients(
     return s, lo - (s - hi)
 
 
-def _double_word_product(hi: np.ndarray, lo: np.ndarray) -> tuple[float, float, int]:
-    """The product of the double words (hi[i], lo[i]) by a pairwise tree of
-    DWTimesDW1 multiplies, and the number of multiplies it took."""
+def _double_word_product(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The products down the first axis of the double words (hi, lo) by a
+    pairwise tree of DWTimesDW1 multiplies, and the number of multiplies
+    each took. An odd level is padded with (1.0, 0.0), by which a multiply
+    is exact."""
     products = 0
-    while hi.size > 1:
-        if hi.size % 2:
-            hi, lo = np.append(hi, 1.0), np.append(lo, 0.0)
+    while hi.shape[0] > 1:
+        if hi.shape[0] % 2:
+            hi, lo = (np.append(x, np.full_like(x[:1], v), 0) for x, v in ((hi, 1.0), (lo, 0.0)))
         xh, xl, yh, yl = hi[::2], lo[::2], hi[1::2], lo[1::2]
         ch, cl1 = _two_product(xh, yh)
         cl3 = cl1 + (xh * yl + xl * yh)
         hi = ch + cl3  # Fast2Sum
         lo = cl3 - (hi - ch)
-        products += hi.size
-    return float(hi[0]), float(lo[0]), products
+        products += hi.shape[0]
+    return hi[0], lo[0], products
 
 
 def _certified_double(hi: float, lo: float, radius: float) -> float | None:
@@ -109,27 +111,6 @@ def _certified_double(hi: float, lo: float, radius: float) -> float | None:
     if below + mid < 2 * (h + l - r) and 2 * (h + l + r) < mid + above:
         return c
     return None
-
-
-def _product_of_quotients(num: np.ndarray, den: np.ndarray) -> float:
-    """prod num[i]/den[i] rounded to the nearest double, for positive
-    integers below 2^53. With n factors and m multiplies, the double-word
-    product is within the relative bound S = n QUOTIENT_ERROR + m
-    PRODUCT_ERROR of the exact value, so the exact value lies within
-    2 S (hi + lo) of it while S <= 1/4 (S is below 1e-20 for any array that
-    fits in memory); the radius 8 S |hi| also covers the rounding of S.
-    When that interval reaches a rounding boundary, the exact big-integer
-    ratio decides."""
-    if num.size == 0:
-        return 1.0
-    hi, lo, products = _double_word_product(
-        *_double_word_quotients(num.astype(np.float64), den.astype(np.float64))
-    )
-    bound = num.size * QUOTIENT_ERROR + products * PRODUCT_ERROR
-    value = _certified_double(hi, lo, 8 * bound * abs(hi))
-    if value is None:
-        return _balanced_product(num.tolist()) / _balanced_product(den.tolist())
-    return value
 
 
 def _check_prime_range(z: float, prime_budget: int) -> None:
@@ -152,24 +133,58 @@ def v_product(
     is f's, and above its limit is 1 + (delta/p) from the table's chi period
     or by Euler's criterion (p = 2 and p | a solved directly); no roots are
     solved."""
-    _check_prime_range(z, prime_budget)
-    limit = math.ceil(z) - 1  # the largest integer below z
-    primes = rho = np.empty(0, dtype=np.int64)
-    own = table is not None and table.f == f
-    if own:
-        primes = table.primes[: np.searchsorted(table.primes, z)]
-        roots = table.roots[: primes.size]
-        rho = (roots[:, 0] >= 0).astype(np.int64) + (roots[:, 1] >= 0)
-    if not own or table.limit < limit:
-        more = primes_upto(limit)[primes.size :]
-        period = table.period if own else None
-        primes = np.concatenate((primes, more))
-        rho = np.concatenate((rho, prime_rho(f, more, period)))
-    keep = rho > 0
-    primes, rho = primes[keep], rho[keep]
-    if (rho == primes).any():
-        return 0.0
-    return _product_of_quotients(primes - rho, primes)
+    return v_products([f], [z], [table], prime_budget=prime_budget)[0]
+
+
+def v_products(
+    fs: list, zs: list, tables: list, *, prime_budget: int = DEFAULT_PRIME_BUDGET
+) -> list[float]:
+    """v_product(f, z, prime_budget=prime_budget, table=table) for each f, z
+    and table, each from one product tree: V(z)'s factors num/den (integers
+    below 2^53) are a column of a 2-D array padded with 1/1, whose double
+    word (1.0, 0.0) multiplies exactly. With n factors and m multiplies, the
+    product is within the relative bound S = n QUOTIENT_ERROR + m
+    PRODUCT_ERROR of the exact value, which lies within 2 S (hi + lo) of it
+    while S <= 1/4 (S is below 1e-20 for any array that fits in memory); the
+    radius 8 S |hi| also covers the rounding of S. When that interval
+    reaches a rounding boundary, the exact big-integer ratio decides."""
+    factors = []  # (p - rho(p), p) over the p < z with rho(p) > 0; None where V(z) = 0
+    for f, z, table in zip(fs, zs, tables):
+        _check_prime_range(z, prime_budget)
+        limit = math.ceil(z) - 1  # the largest integer below z
+        primes = rho = np.empty(0, dtype=np.int64)
+        own = table is not None and table.f == f
+        if own:
+            primes = table.primes[: np.searchsorted(table.primes, z)]
+            roots = table.roots[: primes.size]
+            rho = (roots[:, 0] >= 0).astype(np.int64) + (roots[:, 1] >= 0)
+        if not own or table.limit < limit:
+            more = primes_upto(limit)[primes.size :]
+            period = table.period if own else None
+            primes = np.concatenate((primes, more))
+            rho = np.concatenate((rho, prime_rho(f, more, period)))
+        keep = rho > 0
+        primes, rho = primes[keep], rho[keep]
+        factors.append(None if (rho == primes).any() else (primes - rho, primes))
+    values = [0.0 if pair is None else 1.0 for pair in factors]
+    live = [i for i, pair in enumerate(factors) if pair is not None and pair[0].size]
+    if not live:
+        return values
+    sizes = [factors[i][0].size for i in live]
+    if len(live) == 1:  # 1-D arrays, on which a numpy call costs less
+        num, den = (x.astype(np.float64) for x in factors[live[0]])
+    else:
+        num, den = np.ones((2, max(sizes), len(live)))
+        for col, i in enumerate(live):
+            num[: sizes[col], col], den[: sizes[col], col] = factors[i]
+    hi, lo, products = _double_word_product(*_double_word_quotients(num, den))
+    for i, size, h, l in zip(live, sizes, np.atleast_1d(hi).tolist(), np.atleast_1d(lo).tolist()):
+        bound = size * QUOTIENT_ERROR + products * PRODUCT_ERROR
+        values[i] = _certified_double(h, l, 8 * bound * abs(h))
+        if values[i] is None:
+            num_i, den_i = factors[i]
+            values[i] = _balanced_product(num_i.tolist()) / _balanced_product(den_i.tolist())
+    return values
 
 
 @dataclass(frozen=True)
@@ -289,17 +304,19 @@ def main_term_report(
     *,
     budget: SieveBudget | None = None,
     prime_budget: int = DEFAULT_PRIME_BUDGET,
+    v_of_a: float | None = None,
 ) -> MainTermReport:
     """Compare the exact prime count against A * V(A). Raises
     DegenerateMainTerm when A > 0 but V(A) vanishes; flags (rather than
-    raises) the empty-domain case."""
+    raises) the empty-domain case. A caller that has V(A) passes it as v_of_a."""
     res = result if result is not None else sieve_pi(f, n_value, budget=budget)
     a_count = res.cardinality_a
     if a_count == 0:
         return MainTermReport(res.pi_f, 0, 1.0, 0.0, None, None, True)
     v = 1.0
     if main_term_needs_v(a_count, prime_budget):
-        v = v_product(f, a_count, prime_budget=prime_budget, table=res.root_table)
+        v = v_of_a if v_of_a is not None else v_product(
+            f, a_count, prime_budget=prime_budget, table=res.root_table)
     main = a_count * v
     if main == 0.0:
         raise DegenerateMainTerm(

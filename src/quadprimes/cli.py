@@ -23,6 +23,7 @@ from .analytic import (
     buchstab,
     main_term_needs_v,
     main_term_report,
+    v_products,
 )
 from .character import (
     is_fundamental_discriminant,
@@ -34,9 +35,8 @@ from .errors import (
     DegenerateA,
     QuadprimesError,
     SpecParseError,
-    ValidationError,
 )
-from .polynomial import validate
+from .polynomial import prime_root_tables, validate
 from .records import RunRecord, append_record, json_line, utc_timestamp
 from .sieve import SieveBudget, sieve_pi
 
@@ -238,14 +238,78 @@ def _poly_rows(f) -> list[Row]:
     return [(None, "a", f.a), (None, "b", f.b), (None, "c", f.c), ("polynomial", None, str(f))]
 
 
-def _analyze_one(
-    f, n_value: int, settings: Settings, l_values: dict | None = None
-) -> tuple[RunRecord, list[Row]]:
+# The most rows (primes of a root table or of V) times polynomials one chunk
+# holds (at least one polynomial), so that no array of a chunk reaches the
+# 128 KB above which each new array costs page faults.
+CHUNK_ROWS = 1 << 12
+
+
+def _analyze(triples, n_value: int, settings: Settings):
+    """Yield (a, b, c), f (None where validate refused it) and f's (record,
+    rows) or the QuadprimesError its analysis raised. Each f is validated
+    and its budgets checked alone; a chunk of them shares one root-table
+    solve and one V product tree; then each is reported alone."""
     budget, prime_budget = settings.budget(), DEFAULT_PRIME_BUDGET
-    domain = sieve.checked_domain(f, n_value, budget)
-    main_term_needs_v(domain.cardinality_a, prime_budget)  # fails before the sieve
-    result = sieve_pi(f, n_value, budget=budget, domain=domain)
-    l_values = {} if l_values is None else l_values  # by Delta; scan passes one per box
+    l_values: dict[int, tuple[float, float]] = {}  # by Delta: one L(1, chi) per call
+
+    def finish(chunk):
+        work = [item for *_, item in chunk if isinstance(item, tuple)]
+        ready = iter(_prepared(work, n_value, budget, prime_budget) if work else [])
+        for triple, f, item in chunk:
+            if isinstance(item, tuple):
+                item = next(ready)
+            if isinstance(item, tuple):
+                try:
+                    item = _report(*item, n_value, settings, prime_budget, l_values)
+                except QuadprimesError as exc:
+                    item = exc
+            yield triple, f, item
+
+    chunk, width = [], 1
+    for triple in triples:
+        f, rows = None, 0
+        try:
+            f = validate(*triple)
+            domain = sieve.checked_domain(f, n_value, budget)
+            item = (f, domain, main_term_needs_v(domain.cardinality_a, prime_budget))
+            x = max(sieve.strike_limit(f, domain), domain.cardinality_a - 1, 2)
+            rows = int(1.25506 * x / math.log(x))  # > pi(x) (Rosser-Schoenfeld), sieving none
+        except QuadprimesError as exc:
+            item = exc
+        if chunk and (len(chunk) + 1) * max(width, rows) > CHUNK_ROWS:
+            yield from finish(chunk)
+            chunk, width = [], 1
+        chunk.append((triple, f, item))
+        width = max(width, rows)
+    yield from finish(chunk)
+
+
+def _prepared(work: list, n_value: int, budget: SieveBudget, prime_budget: int) -> list:
+    """(f, sieve result, V(|A|) or None where none is needed) for each
+    checked (f, domain, needs_v): the root tables solved in one pass, each f
+    sieved, then V from one product tree (after the sieves, whose arrays
+    then reuse fewer fresh pages); where that raises, each f alone, so that
+    an error takes the place of its own polynomial."""
+    try:
+        fs = [f for f, *_ in work]
+        tables = prime_root_tables(fs, [sieve.strike_limit(f, d) for f, d, _ in work])
+        results = [sieve_pi(f, n_value, budget=budget, domain=d, table=t)
+                   for (f, d, _), t in zip(work, tables)]
+        needs = [i for i, (*_, needs_v) in enumerate(work) if needs_v]
+        v_of = dict(zip(needs, v_products(
+            [fs[i] for i in needs], [results[i].cardinality_a for i in needs],
+            [tables[i] for i in needs], prime_budget=prime_budget,
+        )))
+    except QuadprimesError as exc:
+        if len(work) == 1:
+            return [exc]
+        return [e for item in work for e in _prepared([item], n_value, budget, prime_budget)]
+    return [(fs[i], result, v_of.get(i)) for i, result in enumerate(results)]
+
+
+def _report(
+    f, result, v_of_a, n_value: int, settings: Settings, prime_budget: int, l_values: dict
+) -> tuple[RunRecord, list[Row]]:
     if f.delta not in l_values:
         l_values[f.delta] = l_one(f.delta, settings.tol, cutoff_cap=settings.l_cutoff)
     l_value, l_bound = l_values[f.delta]
@@ -255,7 +319,7 @@ def _analyze_one(
         met = None
     # V takes the budget checked above; main_term_report's default is bound at import
     report = main_term_report(
-        f, n_value, result, met.beta if met else None, prime_budget=prime_budget
+        f, n_value, result, met.beta if met else None, prime_budget=prime_budget, v_of_a=v_of_a
     )
     domain_text = " union ".join(f"[{lo}, {hi}]" for lo, hi in result.domain.intervals)
     # in RunRecord's field order; |A|, V, the main term and the relative error
@@ -296,8 +360,10 @@ def _require_positive_n(n_value: int) -> None:
 
 def cmd_analyze(args: argparse.Namespace, settings: Settings) -> int:
     _require_positive_n(args.N)
-    f = validate(args.a, args.b, args.c)
-    record, rows = _analyze_one(f, args.N, settings)
+    [(_, _, outcome)] = _analyze([(args.a, args.b, args.c)], args.N, settings)
+    if isinstance(outcome, QuadprimesError):
+        raise outcome
+    record, rows = outcome
     if not args.no_record:
         append_record(settings.records, record)
     _emit(settings, rows)
@@ -340,40 +406,34 @@ def cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
     if settings.format == "table":
         print(_scan_row("a", "b", "c", "delta", "|A|", "pi_f", "main", "rel_err", "status"))
     exit_code = 0
-    l_values: dict[int, tuple[float, float]] = {}
-    for a in a_vals:
-        for b in b_vals:
-            for c in c_vals:
-                try:
-                    f = validate(a, b, c)
-                except ValidationError as exc:
-                    if settings.format == "table":
-                        print(_scan_row(a, b, c, *["-"] * 5, f"skip:{type(exc).__name__}"))
-                    else:
-                        print(f"skip a={a} b={b} c={c} {type(exc).__name__}", file=sys.stderr)
-                    continue
-                try:
-                    record, rows = _analyze_one(f, n_value, settings, l_values)
-                except QuadprimesError as exc:
-                    exit_code = max(exit_code, exc.exit_code)
-                    if settings.format == "table":
-                        print(_scan_row(a, b, c, f.delta, *["-"] * 4,
-                                               f"error:{type(exc).__name__}"))
-                    else:
-                        print(f"error a={a} b={b} c={c} {type(exc).__name__}: {exc}",
-                              file=sys.stderr)
-                    continue
-                if not args.no_record:
-                    append_record(settings.records, record)
-                if settings.format == "records":
-                    _emit(settings, rows)
-                else:
-                    rel = record.relative_error
-                    print(_scan_row(
-                        a, b, c, f.delta, record.cardinality_a, record.pi_f,
-                        f"{record.main_term:.6g}", "-" if rel is None else f"{rel:+.3e}", "ok",
-                    ))
-                sys.stdout.flush()
+    triples = ((a, b, c) for a in a_vals for b in b_vals for c in c_vals)
+    for (a, b, c), f, outcome in _analyze(triples, n_value, settings):
+        if f is None:
+            if settings.format == "table":
+                print(_scan_row(a, b, c, *["-"] * 5, f"skip:{type(outcome).__name__}"))
+            else:
+                print(f"skip a={a} b={b} c={c} {type(outcome).__name__}", file=sys.stderr)
+            continue
+        if isinstance(outcome, QuadprimesError):
+            exit_code = max(exit_code, outcome.exit_code)
+            if settings.format == "table":
+                print(_scan_row(a, b, c, f.delta, *["-"] * 4, f"error:{type(outcome).__name__}"))
+            else:
+                print(f"error a={a} b={b} c={c} {type(outcome).__name__}: {outcome}",
+                      file=sys.stderr)
+            continue
+        record, rows = outcome
+        if not args.no_record:
+            append_record(settings.records, record)
+        if settings.format == "records":
+            _emit(settings, rows)
+        else:
+            rel = record.relative_error
+            print(_scan_row(
+                a, b, c, f.delta, record.cardinality_a, record.pi_f,
+                f"{record.main_term:.6g}", "-" if rel is None else f"{rel:+.3e}", "ok",
+            ))
+        sys.stdout.flush()
     return exit_code
 
 

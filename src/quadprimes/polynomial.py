@@ -253,10 +253,20 @@ def prime_root_table(f: AdmissiblePolynomial, limit: int) -> PrimeRootTable:
     """Roots of f modulo each prime up to limit, solved once per polynomial.
     The primes come from a sieve, so none is tested again. Raises
     BudgetExceeded for limit > MAX_TABLE_PRIME before allocating."""
-    check_table_limit(limit)
-    primes = primes_upto(limit)
-    period = chi_period(f.delta, primes.size)
-    return PrimeRootTable(f, limit, primes, _root_rows(f, primes, period), period)
+    return prime_root_tables([f], [limit])[0]
+
+
+def prime_root_tables(fs: list[AdmissiblePolynomial], limits: list[int]) -> list[PrimeRootTable]:
+    """prime_root_table(f, limit) for each f and its limit, the rows of all
+    stacked and solved in one pass; each table equals the one solved alone."""
+    for limit in limits:
+        check_table_limit(limit)
+    primes = primes_upto(max(limits))
+    heads = [primes[: primes.searchsorted(limit, "right")] for limit in limits]
+    periods = [chi_period(f.delta, head.size) for f, head in zip(fs, heads)]
+    rows, ends = _root_rows(fs, heads, periods), np.cumsum([head.size for head in heads])
+    return [PrimeRootTable(f, limit, head, rows[end - head.size : end], period)
+            for f, limit, head, end, period in zip(fs, limits, heads, ends.tolist(), periods)]
 
 
 def _scalar_primes(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
@@ -266,16 +276,26 @@ def _scalar_primes(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
     return np.flatnonzero((head == 2) | (_mod_each(f.a, head) == 0))
 
 
-def _root_rows(
-    f: AdmissiblePolynomial, primes: np.ndarray, period: np.ndarray | None
-) -> np.ndarray:
-    """The (len(primes), 2) root rows: p = 2 and p | a one at a time, every
-    other prime at once over arrays, with (delta/p) from period if given."""
-    scalar = _scalar_primes(f, primes)
-    rows = _odd_root_rows(f, primes, scalar, period)
-    for i in scalar.tolist():
-        roots = _roots_mod_known_prime(f, int(primes[i]))
-        rows[i, : len(roots)] = roots
+def _mod_rows(values: list[int], owner: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """values[owner[i]] mod p[i] per row i, for ints of any size (objects beyond int64)."""
+    if len(values) == 1:
+        return _mod_each(values[0], p)
+    fits = all(-(2**63) <= v < 2**63 for v in values)
+    out = np.array(values, dtype=np.int64 if fits else object)[owner] % p
+    return out.astype(np.int64, copy=False)
+
+
+def _root_rows(fs: list, heads: list, periods: list) -> np.ndarray:
+    """The (len(head), 2) root rows of each f mod the primes of its head,
+    stacked in turn: p = 2 and p | a one at a time, every other row of every
+    f at once over arrays, with (delta/p) from f's period if given."""
+    scalars = [_scalar_primes(f, head) for f, head in zip(fs, heads)]
+    rows, start = _odd_root_rows(fs, heads, scalars, periods), 0
+    for f, head, scalar in zip(fs, heads, scalars):
+        for i in scalar.tolist():
+            roots = _roots_mod_known_prime(f, int(head[i]))
+            rows[start + i, : len(roots)] = roots
+        start += head.size
     return rows
 
 
@@ -435,12 +455,11 @@ def _tonelli_shanks(
     return s * (1 + (t != 1) * (y - 1)) % p  # k = 2
 
 
-def _odd_root_rows(
-    f: AdmissiblePolynomial, primes: np.ndarray, skip: np.ndarray, period: np.ndarray | None
-) -> np.ndarray:
-    """Root rows mod each prime p <= MAX_TABLE_PRIME of primes, left at -1
-    at the indices skip (which must hold p = 2 and each p | a) and where
-    period, delta's chi_period table, gives (delta/p) = -1.
+def _odd_root_rows(fs: list, heads: list, scalars: list, periods: list) -> np.ndarray:
+    """Root rows of each f mod each prime p <= MAX_TABLE_PRIME of its head,
+    stacked in turn, left at -1 at the indices scalars (which must hold p = 2
+    and each p | a) and where f's period, delta's chi_period table, gives
+    (delta/p) = -1. Every row is solved at once, with its own f's residues.
 
     Completing the square turns f = 0 into (2an + b)^2 = delta, so the roots
     are (-b +- s)/(2a) with s^2 = d = delta mod p. With p - 1 = q 2^e, q odd,
@@ -448,19 +467,26 @@ def _odd_root_rows(
     serves them all: s = d^((p+1)/4) for p = 3 (mod 4); Atkin's v =
     (2d)^((p-5)/8), i = 2d v^2, s = d v (i - 1) for p = 5 (mod 8) (S. Muller,
     Des. Codes Cryptogr. 31, 2004); _tonelli_shanks for p = 1 (mod 8). d is
-    a residue exactly when s^2 = d, so a row period calls a residue that is
+    a residue exactly when s^2 = d, so a row a period calls a residue that is
     none raises ConsistencyError."""
+    primes = heads[0] if len(heads) == 1 else np.concatenate(heads)  # one head: no copy
+    ends = np.cumsum([head.size for head in heads])
     p32 = primes.astype(np.uint32)  # half the bytes; MAX_TABLE_PRIME < 2^32
     # 2^e is the lowest set bit of p - 1, exact in float32; e = 0 at p = 2
     e = np.frexp(((p32 - 1) & (1 - p32)).astype(np.float32))[1].astype(np.int8) - 1
-    e[skip] = 0
-    if period is not None:
-        e *= period[p32 % period.size] >= 0
+    chi = np.full(primes.size, 2, dtype=np.int8)  # (delta/p) from f's period; 2 where none
+    for end, head, scalar, period in zip(ends.tolist(), heads, scalars, periods):
+        e[end - head.size + scalar] = 0
+        if period is not None:
+            chi[end - head.size : end] = period[p32[end - head.size : end] % period.size]
+    e *= chi >= 0
     order = np.argsort(-e, kind="stable")  # e >= 3, 2, 1 in turn; e = 0 is not solved
     n2, m, n = (-e[order]).searchsorted((-2, -1, 0))
     solve = order[:n]
+    # the index in fs of each solved row; for one f, a view of zeros built free
+    owner = ends.searchsorted(solve, "right") if len(fs) > 1 else np.broadcast_to(0, n)
     p, e = primes[solve], e[solve][:n2]
-    d = _mod_each(f.delta, p)
+    d = _mod_rows([f.delta for f in fs], owner, p)
     q, p1, d1 = p[:n2] >> e, p[n2:m], d[n2:m]
     two_d = 2 * d1 % p1
     power = _pow_mod(
@@ -473,26 +499,29 @@ def _odd_root_rows(
     s[n2:m] = d1 * v % p1 * (two_d * v % p1 * v % p1 - 1) % p1
     s[:n2] = _tonelli_shanks(d[:n2], s[:n2], power[:n2], p[:n2], e)
     residue = s * s % p == d
-    minus_b = _mod_each(-f.b, p)
-    inv_2a = _inverse_mod(_mod_each(2 * f.a, p), p)
+    minus_b = _mod_rows([-f.b for f in fs], owner, p)
+    inv_2a = _inverse_mod(_mod_rows([2 * f.a for f in fs], owner, p), p)
     r1 = (minus_b + s) % p * inv_2a % p
     r2 = (minus_b - s) % p * inv_2a % p
     solved = np.stack((np.minimum(r1, r2), np.maximum(r1, r2)), axis=1)
     solved[d == 0, 1] = -1
     if not residue.all():
-        if period is not None:
-            raise ConsistencyError(f"the period table of {f.delta} is wrong mod {p[~residue][0]}")
+        wrong = np.flatnonzero(~residue & (chi[solve] < 2))
+        if wrong.size:
+            i = wrong[0]
+            raise ConsistencyError(f"the period table of {fs[owner[i]].delta} is wrong mod {p[i]}")
         solved[~residue] = -1
-    _check_roots(f, p, solved)
+    _check_roots(fs, owner, p, solved)
     rows = np.full((primes.size, 2), -1, dtype=np.int64)
     rows[solve] = solved
     return rows
 
 
-def _check_roots(f: AdmissiblePolynomial, p: np.ndarray, rows: np.ndarray) -> None:
+def _check_roots(fs: list, owner: np.ndarray, p: np.ndarray, rows: np.ndarray) -> None:
     """Raise ConsistencyError unless (a r + b) r + c = 0 (mod p) for every
-    root r >= 0 of every row; a real check, so it also runs under python -O."""
-    a, b, c = (_mod_each(k, p) for k in (f.a, f.b, f.c))
+    root r >= 0 of every row, with a, b, c those of fs[owner[i]] on row i; a
+    real check, so it also runs under python -O."""
+    a, b, c = (_mod_rows([getattr(f, k) for f in fs], owner, p) for k in "abc")
     small = p.max(initial=0) < _CUBE_SAFE
     bad = np.zeros(p.size, dtype=bool)
     for r in rows.T:
@@ -500,7 +529,7 @@ def _check_roots(f: AdmissiblePolynomial, p: np.ndarray, rows: np.ndarray) -> No
         bad |= (r >= 0) & (value % p != 0)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise ConsistencyError(f"{rows[i].tolist()} mod {p[i]} are not all roots of {f}")
+        raise ConsistencyError(f"{rows[i].tolist()} mod {p[i]}: not all roots of {fs[owner[i]]}")
 
 
 def _roots_mod_prime_power(f: AdmissiblePolynomial, p: int, e: int) -> list[int]:

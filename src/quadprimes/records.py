@@ -71,7 +71,8 @@ def json_line(payload: dict) -> str:
 
 
 def to_json_line(record: RunRecord) -> str:
-    return json_line(asdict(record))
+    # every field is a plain value, so asdict's deep copy is not needed
+    return json_line({f.name: getattr(record, f.name) for f in fields(record)})
 
 
 _FIELD_NAMES = {f.name for f in fields(RunRecord)}
@@ -100,8 +101,12 @@ def append_record(path: str, record: RunRecord) -> None:
     """Append one line; creates the file (and parents) on first use. A path
     that cannot be written raises SpecParseError."""
     try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "a", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "a", encoding="utf-8")
+        except FileNotFoundError:  # the parents are made only when missing
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            fh = open(path, "a", encoding="utf-8")
+        with fh:
             fh.write(to_json_line(record) + "\n")
     except OSError as exc:
         raise SpecParseError(f"cannot write records {path}: {exc}") from None

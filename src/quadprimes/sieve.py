@@ -205,6 +205,11 @@ def _segment_counts(
     return pi_count, units, zeros, large, counts[:unstruck], apart
 
 
+def strike_limit(f: AdmissiblePolynomial, domain: EnumerationDomain) -> int:
+    """isqrt(max f on the domain), 0 if it is empty: sieve_pi's root table limit."""
+    return isqrt(_max_value(f, domain)) if domain.intervals else 0
+
+
 def checked_domain(
     f: AdmissiblePolynomial, n_value: int, budget: SieveBudget
 ) -> EnumerationDomain:
@@ -217,10 +222,10 @@ def checked_domain(
     if n_value > MAX_SAFE_N:
         raise BudgetExceeded(f"N = {n_value} exceeds the int64-safe bound {MAX_SAFE_N}")
     domain = enumeration_domain(f, n_value)
-    strike_limit = isqrt(_max_value(f, domain)) if domain.intervals else 0
-    if strike_limit > budget.max_sieve_prime:
+    limit = strike_limit(f, domain)
+    if limit > budget.max_sieve_prime:
         raise BudgetExceeded(
-            f"sieve needs primes to {strike_limit}, budget max_sieve_prime = "
+            f"sieve needs primes to {limit}, budget max_sieve_prime = "
             f"{budget.max_sieve_prime}"
         )
     return domain
@@ -232,11 +237,13 @@ def sieve_pi(
     budget: SieveBudget | None = None,
     *,
     domain: EnumerationDomain | None = None,
+    table: PrimeRootTable | None = None,
 ) -> SieveResult:
     """Count primes among f(n) on the enumeration domain and classify every
     value by least prime factor. Every count is an exact integer, so the
     result does not depend on the span. A caller that has already
-    run checked_domain(f, n_value, budget) passes its result as domain."""
+    run checked_domain(f, n_value, budget) passes its result as domain, and
+    f's root table to strike_limit(f, domain) as table."""
     budget = budget or SieveBudget()
     if domain is None:
         domain = checked_domain(f, n_value, budget)
@@ -244,9 +251,11 @@ def sieve_pi(
     if not domain.intervals:
         return SieveResult(0, 0, n_value, key_cap, 0, 0, 0, 0, {}, domain)
     vmax = _max_value(f, domain)
-    strike_limit = isqrt(vmax)
     # V(|A|) reads rho from this same table, and above it from Euler's criterion
-    table = prime_root_table(f, strike_limit)
+    if table is None:
+        table = prime_root_table(f, isqrt(vmax))
+    elif table.f != f or table.limit != isqrt(vmax):
+        raise ValueError(f"not the root table of {f} to {isqrt(vmax)}")
     strikes = _strike_rows(table)
     small = enumeration_domain(f, key_cap).intervals
 

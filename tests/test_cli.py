@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import json
 import os
@@ -15,6 +16,7 @@ import quadprimes
 from quadprimes import sieve
 from quadprimes.character import DEFAULT_CUTOFF_CAP
 from quadprimes.cli import Settings, build_parser, main, resolve_settings
+from quadprimes.polynomial import validate
 from quadprimes.records import from_json_line, load_records
 from quadprimes.sieve import SieveBudget
 
@@ -108,10 +110,12 @@ def test_l_cutoff_is_checked_before_the_series(capsys, monkeypatch):
 
 
 def test_main_term_budget_fails_before_the_sieve(capsys, monkeypatch):
+    from quadprimes import cli
+
     def no_work(*args):
         raise AssertionError("the sieve ran")
 
-    monkeypatch.setattr(sieve, "prime_root_table", no_work)
+    monkeypatch.setattr(cli, "prime_root_tables", no_work)
     monkeypatch.setattr(sieve, "_segment_counts", no_work)
     code, _, err = run(capsys, "analyze", "-a", "1", "-b", "1", "-c", "41", "-N", "1e14",
                        "--budget-max-n", "1e14", "--budget-max-sieve-prime", "1e7",
@@ -124,8 +128,7 @@ def test_main_term_budget_fails_before_the_sieve(capsys, monkeypatch):
 def test_analyze_gives_v_the_prime_budget_it_checks_before_the_sieve(capsys, monkeypatch):
     # DEFAULT_PRIME_BUDGET read at call time: one below |A| exits 3 before the
     # sieve, and at |A| V runs under that budget, not the one bound at import
-    from quadprimes import analytic, cli
-    from quadprimes.polynomial import validate
+    from quadprimes import cli
 
     a_count = sieve.enumeration_domain(validate(1, 1, 41), 10**4).cardinality_a
     argv = ("analyze", "-a", "1", "-b", "1", "-c", "41", "-N", "10000", "--no-record")
@@ -142,14 +145,14 @@ def test_analyze_gives_v_the_prime_budget_it_checks_before_the_sieve(capsys, mon
                    f"exceeds budget {a_count - 1}\n")
 
     budgets = []
-    v_product = analytic.v_product
+    v_products = cli.v_products
 
     def recording(*args, prime_budget, **kwargs):
         budgets.append(prime_budget)
-        return v_product(*args, prime_budget=prime_budget, **kwargs)
+        return v_products(*args, prime_budget=prime_budget, **kwargs)
 
     monkeypatch.setattr(cli, "DEFAULT_PRIME_BUDGET", a_count)
-    monkeypatch.setattr(analytic, "v_product", recording)
+    monkeypatch.setattr(cli, "v_products", recording)
     code, _, _ = run(capsys, *argv)
     assert code == 0 and budgets == [a_count]
 
@@ -208,6 +211,51 @@ def test_scan_solves_each_delta_once(capsys, tmp_path, monkeypatch):
         run(capsys, "analyze", "-a", str(rec.a), "-b", "0", "-c", str(rec.c),
             "-N", "500", "--records", alone)
         assert load_records(alone)[0].payload() == rec.payload()
+
+
+def _bench_hooks() -> list[tuple[str, str]]:
+    """(module, attribute) of every name the bench replaces: bench/tracer.py's
+    TARGETS and the cli names bench/worker.py patches, read without running
+    either file."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    tracer = ast.parse((bench / "tracer.py").read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value) for node in tracer.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    worker = ast.parse((bench / "worker.py").read_text(encoding="utf-8"))
+    patched = sorted(
+        node.targets[0].attr for node in ast.walk(worker)
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Attribute)
+        and isinstance(node.targets[0].value, ast.Name) and node.targets[0].value.id == "cli"
+    )
+    assert patched == ["l_one", "sieve_pi"]
+    return [(module, attr) for module, attr, _ in targets] + [
+        ("quadprimes.cli", attr) for attr in patched
+    ]
+
+
+def test_bench_hooks_resolve_and_reach_every_scan_row(capsys, tmp_path, monkeypatch):
+    # the bench's fault self-test and its per-layer spans replace these names;
+    # each must exist, and scan must call the cli ones once per row or Delta
+    from quadprimes import cli
+
+    for module, attr in _bench_hooks():
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+    calls = {name: [] for name in ("sieve_pi", "main_term_report", "l_one")}
+    for name, seen in calls.items():
+        def counting(first, *args, _fn=getattr(cli, name), _seen=seen, **kwargs):
+            _seen.append(first)
+            return _fn(first, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    code, out, _ = run(capsys, "scan", "--a-range=-2:3", "--b-range=-3:3", "--c-range=-4:5",
+                       "-N", "1e5", "--records", str(tmp_path / "r.jsonl"))
+    ok = [line.split() for line in out.splitlines() if line.endswith(" ok")]
+    assert code == 0 and len(ok) > 100
+    polys = [validate(*map(int, row[:3])) for row in ok]
+    assert calls["sieve_pi"] == calls["main_term_report"] == polys
+    assert sorted(calls["l_one"]) == sorted({f.delta for f in polys})
 
 
 def test_scan_range_parse_error_exits_2(capsys):

@@ -286,9 +286,10 @@ def test_prime_root_table_checks_every_vector_root():
     f = validate(1, 1, 41)
     p = np.array([41, 43, 47], dtype=np.int64)
     rows = np.array([[0, 40], [1, 41], [2, -1]], dtype=np.int64)
-    polynomial._check_roots(f, p, rows)  # padding is not checked
+    one = np.zeros(p.size, dtype=np.int64)  # every row is f's
+    polynomial._check_roots([f], one, p, rows)  # padding is not checked
     with pytest.raises(ConsistencyError):
-        polynomial._check_roots(f, p, rows + [[0, 0], [0, 0], [1, 0]])
+        polynomial._check_roots([f], one, p, rows + [[0, 0], [0, 0], [1, 0]])
 
 
 def euler_legendre(x, p):
@@ -403,10 +404,13 @@ def test_root_rows_match_per_prime_solver_across_the_one_reduction_bound():
             want = [list(roots_mod_prime(f, q).roots) for q in primes]
             want = [r + [-1] * (2 - len(r)) for r in want]
             for period in periods:
-                assert polynomial._root_rows(f, p, period).tolist() == want, (a, b, c)
+                assert polynomial._root_rows([f], [p], [period]).tolist() == want, (a, b, c)
             rows = np.array(want)
             with pytest.raises(ConsistencyError, match="not all roots"):
-                polynomial._check_roots(f, p, np.where(rows >= 0, (rows + 1) % p[:, None], rows))
+                polynomial._check_roots(
+                    [f], np.zeros(p.size, dtype=np.int64), p,
+                    np.where(rows >= 0, (rows + 1) % p[:, None], rows),
+                )
 
 
 def _wrong_period_rows(p):
@@ -415,7 +419,7 @@ def _wrong_period_rows(p):
     f = validate(1, 1, 41)
     period = polynomial.chi_period(f.delta, 163).copy()
     period[p] = 1
-    return polynomial._root_rows(f, np.array([p], dtype=np.int64), period)
+    return polynomial._root_rows([f], [np.array([p], dtype=np.int64)], [period])
 
 
 @pytest.mark.parametrize("p", [7, 13, 17])  # 3 (mod 4), 5 (mod 8), 1 (mod 8)

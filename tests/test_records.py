@@ -78,6 +78,16 @@ def test_append_and_load(tmp_path):
     assert load_records(path) == [first, second]
 
 
+def test_append_makes_missing_parent_directories(tmp_path):
+    path = tmp_path / "runs" / "2026" / "log.jsonl"
+    first, second = _record(), _record(n_value=2000)
+    append_record(str(path), first)
+    append_record(str(path), second)  # the parents exist now
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines == [to_json_line(first) + "\n", to_json_line(second) + "\n"]
+    assert load_records(str(path)) == [first, second]
+
+
 def test_find_latest_respects_key_and_order(tmp_path):
     path = str(tmp_path / "runs.jsonl")
     early = _record(timestamp="2026-08-13T00:00:00+00:00", pi_f=1)
