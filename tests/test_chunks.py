@@ -70,19 +70,6 @@ def test_chunk_size_changes_no_output_byte(seed, capsys, tmp_path, monkeypatch):
             assert TIMESTAMP.sub("", capsys.readouterr().out) == line + "\n"
 
 
-def test_the_first_box_has_what_it_names():
-    rows = []
-    for a in range(-3, 4):
-        for b in range(-5, 5):
-            for c in range(-6, 8):
-                try:
-                    rows.append(validate(a, b, c))
-                except ValidationError:
-                    pass
-    assert any(f.a < 0 for f in rows) and any(f.a % 2 == 0 for f in rows)
-    assert any(len(polynomial.enumeration_domain(f, 10**6).intervals) == 2 for f in rows)
-
-
 def random_polynomials(rng: random.Random, count: int) -> list[AdmissiblePolynomial]:
     fs = []
     while len(fs) < count:
