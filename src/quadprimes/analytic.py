@@ -171,14 +171,11 @@ def v_products(
     if not live:
         return values
     sizes = [factors[i][0].size for i in live]
-    if len(live) == 1:  # 1-D arrays, on which a numpy call costs less
-        num, den = (x.astype(np.float64) for x in factors[live[0]])
-    else:
-        num, den = np.ones((2, max(sizes), len(live)))
-        for col, i in enumerate(live):
-            num[: sizes[col], col], den[: sizes[col], col] = factors[i]
+    num, den = np.ones((2, max(sizes), len(live)))
+    for col, i in enumerate(live):
+        num[: sizes[col], col], den[: sizes[col], col] = factors[i]
     hi, lo, products = _double_word_product(*_double_word_quotients(num, den))
-    for i, size, h, l in zip(live, sizes, np.atleast_1d(hi).tolist(), np.atleast_1d(lo).tolist()):
+    for i, size, h, l in zip(live, sizes, hi.tolist(), lo.tolist()):
         bound = size * QUOTIENT_ERROR + products * PRODUCT_ERROR
         values[i] = _certified_double(h, l, 8 * bound * abs(h))
         if values[i] is None:

@@ -276,13 +276,9 @@ def _scalar_primes(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
     return np.flatnonzero((head == 2) | (_mod_each(f.a, head) == 0))
 
 
-def _mod_rows(values: list[int], owner: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """values[owner[i]] mod p[i] per row i, for ints of any size (objects beyond int64)."""
-    if len(values) == 1:
-        return _mod_each(values[0], p)
-    fits = all(-(2**63) <= v < 2**63 for v in values)
-    out = np.array(values, dtype=np.int64 if fits else object)[owner] % p
-    return out.astype(np.int64, copy=False)
+def _mod_rows(values: list[int], parts: list, order: np.ndarray) -> np.ndarray:
+    """values[k] mod each prime of parts[k], stacked in turn, taken in order."""
+    return np.concatenate([_mod_each(v, part) for v, part in zip(values, parts)])[order]
 
 
 def _root_rows(fs: list, heads: list, periods: list) -> np.ndarray:
@@ -459,7 +455,8 @@ def _odd_root_rows(fs: list, heads: list, scalars: list, periods: list) -> np.nd
     """Root rows of each f mod each prime p <= MAX_TABLE_PRIME of its head,
     stacked in turn, left at -1 at the indices scalars (which must hold p = 2
     and each p | a) and where f's period, delta's chi_period table, gives
-    (delta/p) = -1. Every row is solved at once, with its own f's residues.
+    (delta/p) = -1. Every row is solved at once, with its own f's residues,
+    each reduced by _mod_each over the solved primes of its f.
 
     Completing the square turns f = 0 into (2an + b)^2 = delta, so the roots
     are (-b +- s)/(2a) with s^2 = d = delta mod p. With p - 1 = q 2^e, q odd,
@@ -469,24 +466,25 @@ def _odd_root_rows(fs: list, heads: list, scalars: list, periods: list) -> np.nd
     Des. Codes Cryptogr. 31, 2004); _tonelli_shanks for p = 1 (mod 8). d is
     a residue exactly when s^2 = d, so a row a period calls a residue that is
     none raises ConsistencyError."""
-    primes = heads[0] if len(heads) == 1 else np.concatenate(heads)  # one head: no copy
     ends = np.cumsum([head.size for head in heads])
-    p32 = primes.astype(np.uint32)  # half the bytes; MAX_TABLE_PRIME < 2^32
+    # the stacked primes in half the bytes; MAX_TABLE_PRIME < 2^32
+    p32 = np.concatenate(heads, dtype=np.uint32, casting="unsafe")
     # 2^e is the lowest set bit of p - 1, exact in float32; e = 0 at p = 2
     e = np.frexp(((p32 - 1) & (1 - p32)).astype(np.float32))[1].astype(np.int8) - 1
-    chi = np.full(primes.size, 2, dtype=np.int8)  # (delta/p) from f's period; 2 where none
+    chi = np.full(p32.size, 2, dtype=np.int8)  # (delta/p) from f's period; 2 where none
     for end, head, scalar, period in zip(ends.tolist(), heads, scalars, periods):
         e[end - head.size + scalar] = 0
         if period is not None:
             chi[end - head.size : end] = period[p32[end - head.size : end] % period.size]
     e *= chi >= 0
-    order = np.argsort(-e, kind="stable")  # e >= 3, 2, 1 in turn; e = 0 is not solved
-    n2, m, n = (-e[order]).searchsorted((-2, -1, 0))
-    solve = order[:n]
-    # the index in fs of each solved row; for one f, a view of zeros built free
-    owner = ends.searchsorted(solve, "right") if len(fs) > 1 else np.broadcast_to(0, n)
-    p, e = primes[solve], e[solve][:n2]
-    d = _mod_rows([f.delta for f in fs], owner, p)
+    live = np.flatnonzero(e > 0)  # the rows solved: a run of each head in turn
+    p = p32[live].astype(np.int64)
+    parts = np.split(p, live.searchsorted(ends[:-1]))  # each f's solved primes
+    order = np.argsort(-e[live], kind="stable")  # e >= 3, 2, 1 in turn
+    solve = live[order]
+    n2, m = (-e[solve]).searchsorted((-2, -1))
+    p, e = p[order], e[solve][:n2]
+    d = _mod_rows([f.delta for f in fs], parts, order)
     q, p1, d1 = p[:n2] >> e, p[n2:m], d[n2:m]
     two_d = 2 * d1 % p1
     power = _pow_mod(
@@ -499,8 +497,8 @@ def _odd_root_rows(fs: list, heads: list, scalars: list, periods: list) -> np.nd
     s[n2:m] = d1 * v % p1 * (two_d * v % p1 * v % p1 - 1) % p1
     s[:n2] = _tonelli_shanks(d[:n2], s[:n2], power[:n2], p[:n2], e)
     residue = s * s % p == d
-    minus_b = _mod_rows([-f.b for f in fs], owner, p)
-    inv_2a = _inverse_mod(_mod_rows([2 * f.a for f in fs], owner, p), p)
+    minus_b = _mod_rows([-f.b for f in fs], parts, order)
+    inv_2a = _inverse_mod(_mod_rows([2 * f.a for f in fs], parts, order), p)
     r1 = (minus_b + s) % p * inv_2a % p
     r2 = (minus_b - s) % p * inv_2a % p
     solved = np.stack((np.minimum(r1, r2), np.maximum(r1, r2)), axis=1)
@@ -509,19 +507,22 @@ def _odd_root_rows(fs: list, heads: list, scalars: list, periods: list) -> np.nd
         wrong = np.flatnonzero(~residue & (chi[solve] < 2))
         if wrong.size:
             i = wrong[0]
-            raise ConsistencyError(f"the period table of {fs[owner[i]].delta} is wrong mod {p[i]}")
+            f = fs[ends.searchsorted(solve[i], "right")]
+            raise ConsistencyError(f"the period table of {f.delta} is wrong mod {p[i]}")
         solved[~residue] = -1
-    _check_roots(fs, owner, p, solved)
-    rows = np.full((primes.size, 2), -1, dtype=np.int64)
+    _check_roots(fs, parts, order, solved)
+    rows = np.full((p32.size, 2), -1, dtype=np.int64)
     rows[solve] = solved
     return rows
 
 
-def _check_roots(fs: list, owner: np.ndarray, p: np.ndarray, rows: np.ndarray) -> None:
+def _check_roots(fs: list, parts: list, order: np.ndarray, rows: np.ndarray) -> None:
     """Raise ConsistencyError unless (a r + b) r + c = 0 (mod p) for every
-    root r >= 0 of every row, with a, b, c those of fs[owner[i]] on row i; a
-    real check, so it also runs under python -O."""
-    a, b, c = (_mod_rows([getattr(f, k) for f in fs], owner, p) for k in "abc")
+    root r >= 0 of every row i, with p the prime order[i] of parts (the
+    primes of each f, stacked in turn) and a, b, c those of its f; a real
+    check, so it also runs under python -O."""
+    p = np.concatenate(parts)[order]
+    a, b, c = (_mod_rows([getattr(f, k) for f in fs], parts, order) for k in "abc")
     small = p.max(initial=0) < _CUBE_SAFE
     bad = np.zeros(p.size, dtype=bool)
     for r in rows.T:
@@ -529,7 +530,8 @@ def _check_roots(fs: list, owner: np.ndarray, p: np.ndarray, rows: np.ndarray) -
         bad |= (r >= 0) & (value % p != 0)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise ConsistencyError(f"{rows[i].tolist()} mod {p[i]}: not all roots of {fs[owner[i]]}")
+        f = fs[np.cumsum([part.size for part in parts]).searchsorted(order[i], "right")]
+        raise ConsistencyError(f"{rows[i].tolist()} mod {p[i]}: not all roots of {f}")
 
 
 def _roots_mod_prime_power(f: AdmissiblePolynomial, p: int, e: int) -> list[int]:

@@ -286,10 +286,10 @@ def test_prime_root_table_checks_every_vector_root():
     f = validate(1, 1, 41)
     p = np.array([41, 43, 47], dtype=np.int64)
     rows = np.array([[0, 40], [1, 41], [2, -1]], dtype=np.int64)
-    one = np.zeros(p.size, dtype=np.int64)  # every row is f's
-    polynomial._check_roots([f], one, p, rows)  # padding is not checked
+    every = np.arange(p.size)  # each of f's primes, in turn
+    polynomial._check_roots([f], [p], every, rows)  # padding is not checked
     with pytest.raises(ConsistencyError):
-        polynomial._check_roots([f], one, p, rows + [[0, 0], [0, 0], [1, 0]])
+        polynomial._check_roots([f], [p], every, rows + [[0, 0], [0, 0], [1, 0]])
 
 
 def euler_legendre(x, p):
@@ -408,7 +408,7 @@ def test_root_rows_match_per_prime_solver_across_the_one_reduction_bound():
             rows = np.array(want)
             with pytest.raises(ConsistencyError, match="not all roots"):
                 polynomial._check_roots(
-                    [f], np.zeros(p.size, dtype=np.int64), p,
+                    [f], [p], np.arange(p.size),
                     np.where(rows >= 0, (rows + 1) % p[:, None], rows),
                 )
 
