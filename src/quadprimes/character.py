@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     FactorizationOverflow,
     NotADiscriminant,
     NotFundamental,
+    QuadprimesError,
     RangeExceeded,
     ToleranceUnreachable,
     UndefinedSymbol,
@@ -134,79 +136,124 @@ def _series_length(d: int, target: float) -> int:
     return bisect_left(range(hi + 1), True, lo=1, key=lambda m: _tail_bound(d, m) <= target)
 
 
-def _e1(x: np.ndarray) -> np.ndarray:
-    """Exponential integral E1(x) for x > 0: the power series
-    -gamma - log x - sum_k (-x)^k/(k*k!) up to x = 1, and above it the
-    continued fraction e^-x/(x+1- 1/(x+3- 4/(x+5- ...)))."""
+def _e1(x: np.ndarray, edges: list[int]) -> np.ndarray:
+    """Exponential integral E1(x) for x > 0, ascending in each piece
+    x[edges[i]:edges[i + 1]], in one pass: the power series -gamma - log x -
+    sum_k (-x)^k/(k*k!) up to x = 1, above it e^-x/(x+1- 1/(x+3- 4/(x+5- ...)))
+    from the bottom, so rounding does not build up, with ceil(120/sqrt(least
+    value above 1)) + 10 levels per piece (100 suffice at x = 1); deepest
+    first, the values due at each level are a prefix."""
     out = np.empty_like(x)
     low = x <= 1.0
     s = x[low]
-    term, total = np.ones_like(s), np.zeros_like(s)
+    minus, term, total = -s, np.ones_like(s), np.zeros_like(s)
     for k in range(1, 20):  # 1/(19*19!) < 2^-60
-        term *= -s / k
+        term *= minus / k
         total -= term / k
     out[low] = total - np.euler_gamma - np.log(s)
-    s = x[~low]
-    t = np.zeros_like(s)
-    # from the bottom, so rounding does not build up; 100 levels suffice at x = 1
-    for k in range(math.ceil(120 / math.sqrt(s.min(initial=np.inf))) + 10, 0, -1):
-        t = k * k / (s + (2 * k + 1) - t)
-    out[~low] = np.exp(-s) / (s + 1.0 - t)
+    firsts = [(start + int(x[start:stop].searchsorted(1.0, "right")), stop)
+              for start, stop in zip(edges, edges[1:])]
+    deep = sorted(((math.ceil(120 / math.sqrt(x[first])) + 10, first, stop)
+                   for first, stop in firsts if first < stop), reverse=True)
+    take = np.concatenate([np.arange(first, stop) for _, first, stop in deep] or [np.arange(0)])
+    s, rows, j = x[take], 0, 0
+    t, scratch = np.zeros_like(s), np.empty_like(s)
+    for k in range(deep[0][0] if deep else 0, 0, -1):
+        while j < len(deep) and deep[j][0] == k:  # the prefix grows
+            rows, j = rows + deep[j][2] - deep[j][1], j + 1
+            s_k, t_k, scratch_k = s[:rows], t[:rows], scratch[:rows]
+        # t = k^2/(s + (2k+1) - t) in place; both constants are exact doubles
+        np.add(s_k, 2.0 * k + 1.0, out=scratch_k)
+        scratch_k -= t_k
+        np.divide(float(k * k), scratch_k, out=t_k)
+    out[take] = np.exp(-s) / (s + 1.0 - t)
     return out
 
 
-def _series(d: int, m_terms: int) -> tuple[float, float]:
-    """(sum, sum of |terms|) over the first m_terms terms of the series for
-    L(1, chi_d), d fundamental, evaluated _BLOCK terms at a time."""
-    q = abs(d)
-    chi = _chi_upto(d, m_terms)
-    scale = math.sqrt(math.pi / q)
-    sums, sizes = [], []
-    for start in range(1, m_terms + 1, _BLOCK):
-        n = np.arange(start, min(start + _BLOCK, m_terms + 1), dtype=np.float64)
-        y = n * scale
-        erfc = np.fromiter(map(math.erfc, y.tolist()), np.float64, y.size)
-        if d < 0:
-            terms = math.pi / math.sqrt(q) * (erfc + np.exp(-y * y) / (math.sqrt(math.pi) * y))
-        else:
-            terms = erfc / n + _e1(y * y) / math.sqrt(q)
-        terms *= chi[start : start + y.size]
-        sums.append(math.fsum(terms.tolist()))
-        sizes.append(float(np.abs(terms).sum()))
-    return math.fsum(sums), math.fsum(sizes)
+def _series(ds: list[int], counts: list[int]) -> list[tuple[float, float]]:
+    """(sum, sum of |terms|) of the first counts[k] terms of the series for
+    L(1, chi_d), d = ds[k] fundamental, for each k. The pieces (d, at most
+    _BLOCK of its terms) go in runs of at most _BLOCK terms, with one _e1 pass
+    over a run's pieces of d > 0; each piece, then each d, is summed alone."""
+    chis, runs, size = _chi_upto(ds, counts), [[]], 0
+    for k, m_terms in enumerate(counts):
+        for start in range(1, m_terms + 1, _BLOCK):
+            stop = min(start + _BLOCK, m_terms + 1)
+            if size + stop - start > _BLOCK:
+                runs, size = [*runs, []], 0
+            runs[-1].append((k, start, stop))
+            size += stop - start
+    parts = [[] for _ in ds]  # per d, (sum, sum of |terms|) per piece
+    for run in runs:
+        ns = [np.arange(start, stop, dtype=np.float64) for _, start, stop in run]
+        ys = [n * math.sqrt(math.pi / abs(ds[k])) for (k, _, _), n in zip(run, ns)]
+        xs = [y * y for (k, _, _), y in zip(run, ys) if ds[k] > 0]
+        edges = list(accumulate(map(len, xs), initial=0))
+        e1, at = _e1(np.concatenate(xs), edges) if xs else None, 0
+        for (k, start, _), n, y in zip(run, ns, ys):
+            q = abs(ds[k])
+            erfc = np.fromiter(map(math.erfc, y.tolist()), np.float64, y.size)
+            if ds[k] < 0:
+                terms = math.pi / math.sqrt(q) * (erfc + np.exp(-y * y) / (math.sqrt(math.pi) * y))
+            else:
+                terms = erfc / n + e1[at : at + n.size] / math.sqrt(q)
+                at += n.size
+            terms *= chis[k][start : start + n.size]
+            parts[k].append((math.fsum(terms.tolist()), float(np.abs(terms).sum())))
+    return [tuple(map(math.fsum, zip(*piece_sums))) for piece_sums in parts]
+
+
+def l_batch(deltas, tolerance: float, *, cutoff_cap: int = DEFAULT_CUTOFF_CAP) -> dict:
+    """{Delta: what l_one(Delta, tolerance, cutoff_cap=cutoff_cap) returns or
+    raises} for each Delta of deltas, each checked alone and all summed in one
+    _series pass; if that raises, each Delta alone, so an error stays its own."""
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive")
+    out, jobs = {}, []  # jobs: (Delta, D, primes dividing m, Euler factor, series length)
+    for delta in dict.fromkeys(deltas):
+        try:
+            _require_discriminant(delta)
+            d, m_primes = _fundamental_part(delta)
+            factor = math.prod(1.0 - kronecker(d, p) / p for p in m_primes)
+            m_terms = _series_length(d, tolerance / (2.0 * factor))
+            if m_terms > cutoff_cap:
+                raise ToleranceUnreachable(f"tolerance {tolerance:g} needs {m_terms} series"
+                                           f" terms, cap is {cutoff_cap}")
+            jobs.append((delta, d, m_primes, factor, m_terms))
+        except QuadprimesError as exc:
+            out[delta] = exc
+    try:
+        series = _series([job[1] for job in jobs], [job[4] for job in jobs]) if jobs else []
+    except QuadprimesError as exc:
+        if len(jobs) == 1:
+            return out | {jobs[0][0]: exc}
+        return out | {job[0]: l_batch([job[0]], tolerance, cutoff_cap=cutoff_cap)[job[0]]
+                      for job in jobs}
+    for (delta, d, m_primes, factor, m_terms), (total, size) in zip(jobs, series):
+        rounding = (TERM_ULPS + 4.0 * math.pi * m_terms**2 / abs(d)) * _EPS * size  # Y^2 = pi*M^2/q
+        value = total * factor
+        # each Euler factor, their product and the multiply by it add an ulp or two
+        euler_rounding = (2 * len(m_primes) + 2) * _EPS * abs(value)
+        bound = factor * (_tail_bound(d, m_terms) + rounding) + euler_rounding
+        out[delta] = ToleranceUnreachable(
+            f"tolerance {tolerance:g} is below the {bound:.1e} that double precision"
+            f" certifies for L(1, chi_{delta})") if bound > tolerance else (value, bound)
+    return out
 
 
 def l_one(
-    delta: int, tolerance: float, *, cutoff_cap: int = DEFAULT_CUTOFF_CAP
+    delta: int, tolerance: float, *, cutoff_cap: int = DEFAULT_CUTOFF_CAP, batch: dict | None = None
 ) -> tuple[float, float]:
-    """(L(1, chi_Delta), error bound) with 0 < bound <= tolerance. The series
-    stops at the least M whose tail bound, times the Euler factors, is at
-    most tolerance/2. Raises ToleranceUnreachable, before any array is built,
-    when M exceeds cutoff_cap, and when the rounding allowance of
-    TERM_ULPS + 4*Y^2 units per term times the sum of |terms| leaves the
-    bound above tolerance."""
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
-    _require_discriminant(delta)
-    d, m_primes = _fundamental_part(delta)
-    factor = math.prod(1.0 - kronecker(d, p) / p for p in m_primes)
-    m_terms = _series_length(d, tolerance / (2.0 * factor))
-    if m_terms > cutoff_cap:
-        raise ToleranceUnreachable(
-            f"tolerance {tolerance:g} needs {m_terms} series terms, cap is {cutoff_cap}"
-        )
-    total, size = _series(d, m_terms)
-    rounding = (TERM_ULPS + 4.0 * math.pi * m_terms**2 / abs(d)) * _EPS * size  # Y^2 = pi*M^2/q
-    value = total * factor
-    # each Euler factor, their product and the multiply by it add an ulp or two
-    euler_rounding = (2 * len(m_primes) + 2) * _EPS * abs(value)
-    bound = factor * (_tail_bound(d, m_terms) + rounding) + euler_rounding
-    if bound > tolerance:
-        raise ToleranceUnreachable(
-            f"tolerance {tolerance:g} is below the {bound:.1e} that double precision"
-            f" certifies for L(1, chi_{delta})"
-        )
-    return value, bound
+    """(L(1, chi_Delta), error bound) with 0 < bound <= tolerance, from batch
+    (an l_batch result holding delta) or an l_batch of delta alone. The series
+    stops at the least M whose tail bound, times the Euler factors, is at most
+    tolerance/2. Raises ToleranceUnreachable, before any array is built, when
+    M exceeds cutoff_cap, and when the rounding allowance of TERM_ULPS + 4*Y^2
+    units per term times the sum of |terms| leaves the bound above tolerance."""
+    result = (l_batch([delta], tolerance, cutoff_cap=cutoff_cap) if batch is None else batch)[delta]
+    if isinstance(result, QuadprimesError):
+        raise result
+    return result
 
 
 def is_fundamental_discriminant(delta: int) -> bool:

@@ -247,20 +247,22 @@ CHUNK_ROWS = 1 << 12
 def _analyze(triples, n_value: int, settings: Settings):
     """Yield (a, b, c), f (None where validate refused it) and f's (record,
     rows) or the QuadprimesError its analysis raised. Each f is validated
-    and its budgets checked alone; a chunk of them shares one root-table
-    solve and one V product tree; then each is reported alone."""
+    and its budgets checked alone; a chunk shares one root-table solve, one V
+    product tree and one l_batch for its new Delta; then each is reported alone."""
     budget, prime_budget = settings.budget(), DEFAULT_PRIME_BUDGET
     l_values: dict[int, tuple[float, float]] = {}  # by Delta: one L(1, chi) per call
 
     def finish(chunk):
         work = [item for *_, item in chunk if isinstance(item, tuple)]
-        ready = iter(_prepared(work, n_value, budget, prime_budget) if work else [])
+        ready = (_prepared(work, n_value, budget, prime_budget) if work else [])[::-1]
+        new = [r[0].delta for r in ready if isinstance(r, tuple) and r[0].delta not in l_values]
+        batch = character.l_batch(new, settings.tol, cutoff_cap=settings.l_cutoff) if work else {}
         for triple, f, item in chunk:
             if isinstance(item, tuple):
-                item = next(ready)
+                item = ready.pop()  # reversed above, so in chunk order
             if isinstance(item, tuple):
                 try:
-                    item = _report(*item, n_value, settings, prime_budget, l_values)
+                    item = _report(*item, n_value, settings, prime_budget, l_values, batch)
                 except QuadprimesError as exc:
                     item = exc
             yield triple, f, item
@@ -308,10 +310,10 @@ def _prepared(work: list, n_value: int, budget: SieveBudget, prime_budget: int) 
 
 
 def _report(
-    f, result, v_of_a, n_value: int, settings: Settings, prime_budget: int, l_values: dict
+    f, result, v_of_a, n_value: int, settings: Settings, prime_budget: int, l_values, batch
 ) -> tuple[RunRecord, list[Row]]:
     if f.delta not in l_values:
-        l_values[f.delta] = l_one(f.delta, settings.tol, cutoff_cap=settings.l_cutoff)
+        l_values[f.delta] = l_one(f.delta, settings.tol, cutoff_cap=settings.l_cutoff, batch=batch)
     l_value, l_bound = l_values[f.delta]
     try:
         met = metrics(f, n_value, result.cardinality_a, l_value, l_bound)

@@ -11,8 +11,10 @@ general moduli.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, isqrt
 
 import numpy as np
@@ -340,31 +342,35 @@ def _ragged_blocks(width: np.ndarray, block: int) -> Iterator[tuple[np.ndarray, 
         row = stop
 
 
-def _chi_upto(d: int, limit: int) -> np.ndarray:
-    """chi_d(n) for 0 <= n <= limit as int8: on primes by legendre, then on
-    every n by complete multiplicativity: a loop over the powers of each
-    prime up to sqrt(limit), then a gather over the pairs (p, k) with p
-    above sqrt(limit) and p*k <= limit, at most _CHI_GATHER pairs per
-    gather (one gather for every limit up to 10^5)."""
-    primes = primes_upto(limit)
-    chi_p = legendre(d, primes).astype(np.int8)
-    chi = np.ones(limit + 1, dtype=np.int8)
-    chi[0] = 0
-    root = isqrt(limit)
-    small = np.searchsorted(primes, root, side="right")
-    for p, c in zip(primes[:small].tolist(), chi_p[:small].tolist()):
-        power = p
-        while c != 1 and power <= limit:
-            chi[power::power] *= c
-            power *= p
-    # a prime p above sqrt(limit) divides n <= limit once, as n = p*k with
-    # k < p, so no n occurs twice among the pairs (p, k) and a fancy-index
-    # multiply applies each factor once
-    big, chi_big = primes[small:], chi_p[small:]
-    k = np.arange(1, limit // (root + 1) + 1)
-    for rows, j in _ragged_blocks(big.searchsorted(limit // k, "right"), _CHI_GATHER):
-        chi[big[j] * k[rows]] *= chi_big[j]
-    return chi
+def _chi_upto(ds: list[int], limits: list[int]) -> list[np.ndarray]:
+    """chi_d(n) for 0 <= n <= limit as int8, for each d and its limit: on
+    primes by one _euler_symbols call, then on every n by complete
+    multiplicativity: a loop over the powers of each prime up to sqrt(limit),
+    then gathers over the pairs (p, k), p > sqrt(limit) and p*k <= limit, of
+    at most _CHI_GATHER pairs (one gather for every limit up to 10^5)."""
+    primes = primes_upto(max(limits))
+    heads = [primes[: primes.searchsorted(limit, "right")] for limit in limits]
+    chi_ps, end, tables = _euler_symbols(ds, heads).astype(np.int8), 0, []
+    for head, limit in zip(heads, limits):
+        chi_p, end = chi_ps[end : end + head.size], end + head.size
+        chi = np.ones(limit + 1, dtype=np.int8)
+        chi[0] = 0
+        root = isqrt(limit)
+        small = head.searchsorted(root, side="right")
+        for p, c in zip(head[:small].tolist(), chi_p[:small].tolist()):
+            power = p
+            while c != 1 and power <= limit:
+                chi[power::power] *= c
+                power *= p
+        # a prime p above sqrt(limit) divides n <= limit once, as n = p*k with
+        # k < p, so no n occurs twice among the pairs (p, k) and a fancy-index
+        # multiply applies each factor once
+        big, chi_big = head[small:], chi_p[small:]
+        k = np.arange(1, limit // (root + 1) + 1)
+        for rows, j in _ragged_blocks(big.searchsorted(limit // k, "right"), _CHI_GATHER):
+            chi[big[j] * k[rows]] *= chi_big[j]
+        tables.append(chi)
+    return tables
 
 
 def chi_period(x: int, count: int) -> np.ndarray | None:
@@ -376,28 +382,37 @@ def chi_period(x: int, count: int) -> np.ndarray | None:
     m = abs(x)
     if x % 4 > 1 or not 0 < m <= count:
         return None
-    table = _chi_upto(x, m)
+    [table] = _chi_upto([x], [m])
     table[0] = table[m]  # chi(|x|): 0, or 1 for x = 1
     return table[:m]
 
 
 def legendre(x: int, p: np.ndarray, period: np.ndarray | None = None) -> np.ndarray:
-    """The Kronecker symbol (x/p) in {-1, 0, 1} for each prime
-    p <= MAX_TABLE_PRIME: by one gather p mod |x| from period, x's
-    chi_period table (built here when chi_period(x, p.size) gives one),
-    else by Euler's criterion x^((p-1)/2) mod p for odd p and from x mod 8
-    for p = 2. There, any power other than 0, 1 or p - 1 shows that p is not
-    prime and raises ConsistencyError."""
+    """The Kronecker symbol (x/p) in {-1, 0, 1} for each prime p <= MAX_TABLE_PRIME:
+    by one gather p mod |x| from period, x's chi_period table (built here when
+    chi_period(x, p.size) gives one), else by _euler_symbols."""
     if period is None:
         period = chi_period(x, p.size)
     if period is not None:
         return period[p % period.size].astype(np.int64)
-    euler = _pow_mod(_mod_each(x, p), (p - 1) >> 1, p)
-    bad = (euler > 1) & (euler != p - 1)
-    if bad.any():
-        q = int(p[np.flatnonzero(bad)[0]])
+    return _euler_symbols([x], [p])
+
+
+def _euler_symbols(xs: list[int], parts: list[np.ndarray]) -> np.ndarray:
+    """(x/p) in {-1, 0, 1} for each x of xs and each prime p <= MAX_TABLE_PRIME
+    of its part, stacked in turn: Euler's criterion x^((p-1)/2) mod p for odd
+    p, all in one _pow_mod call, and (x/2) from x mod 8. Any power other than
+    0, 1 or p - 1 shows that p is not prime and raises ConsistencyError."""
+    p = np.concatenate(parts)
+    residues = np.concatenate([_mod_each(x, part) for x, part in zip(xs, parts)])
+    euler = _pow_mod(residues, (p - 1) >> 1, p)
+    ends = list(accumulate(part.size for part in parts))
+    bad = np.flatnonzero((euler > 1) & (euler != p - 1))
+    if bad.size:
+        x, q = xs[bisect_right(ends, bad[0])], int(p[bad[0]])
         raise ConsistencyError(f"Euler's criterion for {x} fails mod {q}: {q} is not prime")
-    euler[p == 2] = (0, 1, 0, -1, 0, -1, 0, 1)[x % 8]  # (x/2); Euler's x^0 is 1 there
+    for i in np.flatnonzero(p == 2).tolist():
+        euler[i] = (0, 1, 0, -1, 0, -1, 0, 1)[xs[bisect_right(ends, i)] % 8]
     return np.where(euler > 1, -1, euler)
 
 
@@ -418,13 +433,19 @@ def _non_residues(p: np.ndarray) -> np.ndarray:
 
 
 def _inverse_mod(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """1/m mod p for each m coprime to p by the extended Euclidean algorithm
-    over arrays: s0 m = r0 and s1 m = r1 (mod p) throughout, and a finished
-    row keeps one remainder 1, whose coefficient is the inverse."""
+    """1/m mod p for each 0 <= m < p by the extended Euclidean algorithm over
+    arrays: s0 m = r0 and s1 m = r1 (mod p) throughout; a row ends on a
+    remainder 1, whose coefficient is the inverse, within Lame's log_phi(p) + 2
+    steps, and one whose last nonzero remainder is not 1 raises ConsistencyError."""
     r0, r1, s0, s1 = p, m, np.zeros_like(p), np.ones_like(p)
-    while (r1 > 1).any():
+    for _ in range(int(math.log(max(int(p.max(initial=2)), 2), (1 + 5**0.5) / 2)) + 2):
+        if not (r1 > 1).any():
+            break
         q = r0 // np.maximum(r1, 1)
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    wrong = np.flatnonzero((r1 != 1) & ((r1 != 0) | (r0 != 1)))
+    if wrong.size:
+        raise ConsistencyError(f"{m[wrong[0]]} has no inverse mod {p[wrong[0]]}")
     return np.where(r1 == 1, s1, s0) % p
 
 

@@ -174,6 +174,99 @@ def partial_sum_l_value(delta: int, tol: float) -> tuple[float, float]:
     return math.fsum((period[n % q] / n).tolist()), 2.0 * k_bound / (m_cut + 1)
 
 
+# The per-Delta L(1, chi) series that character.l_batch evaluates for many
+# Delta in one pass, kept term for term as the reference its every bit must
+# equal: the same IEEE operations in the same order, one Delta at a time.
+SERIES_TERM_ULPS = 32
+SERIES_EPS = 2.0**-52
+
+
+def fundamental_part(delta: int) -> tuple[int, list[int]]:
+    """(D, the primes dividing m, ascending) with delta = D*m^2, D
+    fundamental, by trial division of |delta| to its square root."""
+    rest, core, p = abs(delta), -1 if delta < 0 else 1, 2
+    while p * p <= rest:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e % 2:
+            core *= p
+        p += 1
+    core *= rest
+    d = core if core % 4 == 1 else 4 * core
+    m = isqrt(delta // d)
+    return d, [q for q in simple_sieve(m) if m % q == 0] if m > 1 else []
+
+
+def series_tail_bound(d: int, m_terms: int) -> float:
+    y = m_terms * math.sqrt(math.pi / abs(d))
+    return math.exp(-y * y) / (y * y if d < 0 else math.sqrt(math.pi) * y**3)
+
+
+def series_length(d: int, target: float) -> int:
+    """The least M >= 1 with series_tail_bound(d, M) <= target."""
+    m = 1
+    while series_tail_bound(d, m) > target:
+        m += 1
+    return m
+
+
+def series_e1(x: np.ndarray) -> np.ndarray:
+    """E1(x) for x > 0 on one array: the power series up to x = 1, above it
+    the continued fraction with ceil(120/sqrt(min x)) + 10 levels."""
+    out = np.empty_like(x)
+    low = x <= 1.0
+    s = x[low]
+    term, total = np.ones_like(s), np.zeros_like(s)
+    for k in range(1, 20):
+        term *= -s / k
+        total -= term / k
+    out[low] = total - np.euler_gamma - np.log(s)
+    s = x[~low]
+    t = np.zeros_like(s)
+    for k in range(math.ceil(120 / math.sqrt(s.min(initial=np.inf))) + 10, 0, -1):
+        t = k * k / (s + (2 * k + 1) - t)
+    out[~low] = np.exp(-s) / (s + 1.0 - t)
+    return out
+
+
+def series_sums(d: int, m_terms: int, chi: np.ndarray, block: int) -> tuple[float, float]:
+    """(sum, sum of |terms|) of the first m_terms terms for L(1, chi_d), d
+    fundamental, chi its table to m_terms, block terms per array."""
+    q = abs(d)
+    scale = math.sqrt(math.pi / q)
+    sums, sizes = [], []
+    for start in range(1, m_terms + 1, block):
+        n = np.arange(start, min(start + block, m_terms + 1), dtype=np.float64)
+        y = n * scale
+        erfc = np.fromiter(map(math.erfc, y.tolist()), np.float64, y.size)
+        if d < 0:
+            terms = math.pi / math.sqrt(q) * (erfc + np.exp(-y * y) / (math.sqrt(math.pi) * y))
+        else:
+            terms = erfc / n + series_e1(y * y) / math.sqrt(q)
+        terms *= chi[start : start + y.size]
+        sums.append(math.fsum(terms.tolist()))
+        sizes.append(float(np.abs(terms).sum()))
+    return math.fsum(sums), math.fsum(sizes)
+
+
+def series_l_value(delta: int, tol: float, chi_upto, block: int) -> tuple[float, float]:
+    """(L(1, chi_delta), error bound) one Delta at a time, chi_upto(d, M) the
+    table of chi_d to M. Raises ValueError where the bound exceeds tol."""
+    d, m_primes = fundamental_part(delta)
+    factor = math.prod(1.0 - kronecker_symbol(d, p) / p for p in m_primes)
+    m_terms = series_length(d, tol / (2.0 * factor))
+    total, size = series_sums(d, m_terms, chi_upto(d, m_terms), block)
+    rounding = (SERIES_TERM_ULPS + 4.0 * math.pi * m_terms**2 / abs(d)) * SERIES_EPS * size
+    value = total * factor
+    euler_rounding = (2 * len(m_primes) + 2) * SERIES_EPS * abs(value)
+    bound = factor * (series_tail_bound(d, m_terms) + rounding) + euler_rounding
+    if bound > tol:
+        raise ValueError(f"tol {tol} below the certified {bound}")
+    return value, bound
+
+
 def class_number_negative(d: int) -> int:
     """h(d) for a discriminant d < 0: reduced primitive forms (a, b, c) with
     b^2 - 4ac = d, |b| <= a <= c, b >= 0 when |b| = a or a = c, counted by a

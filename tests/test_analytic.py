@@ -250,14 +250,14 @@ def test_sieve_and_v_build_one_chi_period_per_polynomial(monkeypatch):
     calls = []
     real = polynomial._chi_upto
 
-    def counting(d, limit):
-        calls.append((d, limit))
-        return real(d, limit)
+    def counting(ds, limits):
+        calls.append((ds, limits))
+        return real(ds, limits)
 
     monkeypatch.setattr(polynomial, "_chi_upto", counting)
     f = validate(1, 1, 41)
     res = sieve_pi(f, 10**8)
     assert res.root_table.limit < res.cardinality_a
     v = main_term_report(f, 10**8, res).v_of_a
-    assert calls == [(-163, 163)]
+    assert calls == [([-163], [163])]
     assert v == v_product(f, res.cardinality_a) == _exact_v(f, res.cardinality_a)

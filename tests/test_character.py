@@ -94,7 +94,8 @@ def test_chi_table_matches_symbol():
     # 3568, the series length at |Delta| near 4e6, has about 60 cofactors k
     for delta in (-163, -15, -4, -3, 5, 8, 12, 21, -3999971, 3999997):
         for limit in (1, 2, 3, 4, 10, 48, 49, 50, 1000, 3568):
-            table = _chi_upto(delta, limit).tolist()
+            [table] = _chi_upto([delta], [limit])
+            table = table.tolist()
             assert table == [kronecker(delta, n) for n in range(limit + 1)], (delta, limit)
 
 

@@ -3,18 +3,20 @@ pass and take their V(|A|) from one product tree. Every table, V, printed
 line and record must equal what each polynomial gives alone, whatever the
 chunk size, and an error must stay with the polynomial that raised it."""
 
+import importlib.util
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quadprimes import analytic, cli, polynomial, sieve
+from quadprimes import analytic, character, cli, polynomial, sieve
 from quadprimes.analytic import v_products
 from quadprimes.cli import main
-from quadprimes.errors import ValidationError
+from quadprimes.errors import ConsistencyError, ValidationError
 from quadprimes.polynomial import (
     AdmissiblePolynomial,
     prime_root_table,
@@ -23,6 +25,8 @@ from quadprimes.polynomial import (
     validate,
 )
 from quadprimes.primes import primes_upto
+
+from oracles import fundamental_part, kronecker_symbol, series_length
 
 TIMESTAMP = re.compile(r'"timestamp":"[^"]*"')
 R = 2**64 + 3  # n near R: a box whose b, c and n lie beyond int64
@@ -201,3 +205,106 @@ def test_each_row_reports_its_own_budget_error(capsys, tmp_path, monkeypatch):
         assert (code == 0) == (row[-1] == "ok")
         if code:
             assert row[-1] == "error:" + err.split(":")[1].strip()
+
+
+def _bench_worker():
+    """bench/worker.py as a module, for the fault it injects; importing it
+    runs nothing."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("bench_worker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_l_fault_reaches_every_row_of_every_chunk(capsys, tmp_path, monkeypatch):
+    # one l_batch per chunk, and still one cli.l_one call per new Delta, so
+    # the bench's --fault l wrapper perturbs every reported row
+    chunks, batches = [], []
+    real_prepared, real_batch = cli._prepared, character.l_batch
+
+    def prepared(work, *args):
+        chunks.append(len(work))
+        return real_prepared(work, *args)
+
+    def batch(deltas, *args, **kwargs):
+        batches.append(list(deltas))
+        return real_batch(deltas, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_prepared", prepared)
+    monkeypatch.setattr(character, "l_batch", batch)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 6 * ROWS)
+    monkeypatch.setattr(cli, "l_one", cli.l_one)  # undone after the test
+    _bench_worker().inject_fault(cli, "l")
+    code, out, _, records = scan(capsys, tmp_path, boxes(7)[0])
+    assert code == 0 and len(batches) == len(chunks) > 1
+    lines = records.splitlines()
+    assert len(lines) == sum(line.endswith(" ok") for line in out.splitlines())
+    deltas = [_delta(line) for line in lines]
+    assert len(set(deltas)) < len(deltas) and min(deltas) < 0 < max(deltas)
+    for line, delta in zip(lines, deltas):
+        value, bound = character.l_one(delta, cli.Settings().tol)
+        assert float(re.search('"l_one":([^,]*)', line).group(1)) == value + 3.0 * bound, delta
+
+
+def _per_delta(delta, tolerance, *, cutoff_cap, batch=None):
+    """cli.l_one as it was before l_batch: each Delta's series alone."""
+    return character.l_one(delta, tolerance, cutoff_cap=cutoff_cap)
+
+
+def _term_count(delta: int, tol: float) -> int:
+    d, primes = fundamental_part(delta)
+    factor = math.prod(1.0 - kronecker_symbol(d, p) / p for p in primes)
+    return series_length(d, tol / (2.0 * factor))
+
+
+def test_rows_over_the_l_cutoff_fail_alone(capsys, tmp_path, monkeypatch):
+    box = ["-a", "1", "--b-range=-40:40", "--c-range=-1:2"]
+    tol = cli.Settings().tol
+    counts = sorted({_term_count(b * b - 4 * c, tol) for b in range(-40, 41) for c in range(-1, 3)
+                     if (b * b - 4 * c) % 4 < 2 and math.isqrt(abs(b * b - 4 * c)) ** 2 != b * b - 4 * c})
+    flags = ["--budget-l-cutoff", str(counts[len(counts) // 2])]
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 8 * ROWS)
+    run = scan(capsys, tmp_path, box, *flags)
+    monkeypatch.setattr(cli, "l_one", _per_delta)
+    assert scan(capsys, tmp_path, box, *flags) == run  # byte for byte, exit code included
+    code, out, _, records = run
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert code == 3 and {"ok", "error:ToleranceUnreachable"} <= {row[-1] for row in rows}
+    reported = iter(records.splitlines())
+    for row in rows:
+        if row[-1].startswith("skip:"):
+            continue
+        assert (row[-1] == "ok") == (_term_count(int(row[3]), tol) <= int(flags[1]))
+        code = main(["analyze", "-a", row[0], "-b", row[1], "-c", row[2], "-N", "1e6",
+                     "--no-record", "--format", "records", *flags])
+        printed, err = capsys.readouterr()
+        if row[-1] == "ok":
+            assert code == 0 and TIMESTAMP.sub("", printed) == next(reported) + "\n"
+        else:
+            assert code == 3 and row[-1] == "error:" + err.split(":")[1].strip()
+
+
+def test_a_failing_series_pass_fails_only_its_own_delta(capsys, tmp_path, monkeypatch):
+    box = boxes(19)[0]
+    clean = scan(capsys, tmp_path, box)
+    deltas = [_delta(line) for line in clean[3].splitlines()]
+    target = fundamental_part(max(set(deltas), key=deltas.count))[0]
+    real = character._chi_upto
+
+    def failing(ds, limits):
+        if target in ds:
+            raise ConsistencyError(f"chi table of {target}")
+        return real(ds, limits)
+
+    monkeypatch.setattr(character, "_chi_upto", failing)
+    code, out, err, records = scan(capsys, tmp_path, box)
+    assert code == 4 and err == clean[2]
+    hit = [line for line in clean[1].splitlines()
+           if line.endswith(" ok") and fundamental_part(int(line.split()[3]))[0] == target]
+    assert len(hit) > 1
+    assert out.splitlines() == [
+        cli._scan_row(*line.split()[:4], *["-"] * 4, "error:ConsistencyError") if line in hit
+        else line for line in clean[1].splitlines()]
+    assert records == "".join(line + "\n" for line in clean[3].splitlines()
+                              if fundamental_part(_delta(line))[0] != target)

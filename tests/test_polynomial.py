@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +336,41 @@ def test_inverse_mod_matches_pow():
         assert polynomial._inverse_mod(m, odd).tolist() == want, a
 
 
+# [6, 15] mod [9, 21]: the two rows' remainders alternate out of phase, which
+# once kept the loop from ending; [6] mod [9] once returned 8 (6*8 = 3 mod 9)
+NOT_COPRIME = (([6, 15], [9, 21]), ([6], [9]), ([0, 1], [7, 7]))
+
+
+def test_inverse_mod_refuses_rows_not_coprime():
+    for m, p in NOT_COPRIME[1:]:  # the first, which once hung, runs in a subprocess below
+        with pytest.raises(ConsistencyError, match="no inverse"):
+            polynomial._inverse_mod(np.array(m), np.array(p))
+    # Lame's worst case, consecutive Fibonacci numbers, ends within the bound
+    fib = [1, 2]
+    while fib[-1] < MAX_TABLE_PRIME:
+        fib.append(fib[-1] + fib[-2])
+    m, p = np.array(fib[:-1]), np.array(fib[1:])
+    assert polynomial._inverse_mod(m, p).tolist() == [pow(a, -1, q) for a, q in zip(fib, fib[1:])]
+
+
+def test_inverse_mod_refuses_rows_not_coprime_under_python_o():
+    code = (
+        "import numpy as np\n"
+        "from quadprimes import polynomial\n"
+        "from quadprimes.errors import ConsistencyError\n"
+        f"for m, p in {NOT_COPRIME!r}:\n"
+        "    try:\n"
+        "        polynomial._inverse_mod(np.array(m), np.array(p))\n"
+        "    except ConsistencyError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
 def test_prime_root_table_solves_only_residue_rows():
     limit = 20000
     count = len(primes_upto(limit))  # the table's primes, which size its chi period
@@ -350,7 +389,8 @@ def test_prime_root_table_solves_only_residue_rows():
 
 
 def test_period_table_calling_every_class_a_residue_raises(monkeypatch):
-    monkeypatch.setattr(polynomial, "_chi_upto", lambda d, limit: np.ones(limit + 1, np.int8))
+    monkeypatch.setattr(
+        polynomial, "_chi_upto", lambda ds, limits: [np.ones(m + 1, np.int8) for m in limits])
     with pytest.raises(ConsistencyError, match="period table"):
         prime_root_table(validate(1, 1, 41), 1000)
 
