@@ -156,8 +156,7 @@ def _e1(x: np.ndarray, edges: list[int]) -> np.ndarray:
     deep = sorted(((math.ceil(120 / math.sqrt(x[first])) + 10, first, stop)
                    for first, stop in firsts if first < stop), reverse=True)
     take = np.concatenate([np.arange(first, stop) for _, first, stop in deep] or [np.arange(0)])
-    s, rows, j = x[take], 0, 0
-    t, scratch = np.zeros_like(s), np.empty_like(s)
+    s, t, scratch, rows, j = x[take], np.zeros(take.size), np.empty(take.size), 0, 0
     for k in range(deep[0][0] if deep else 0, 0, -1):
         while j < len(deep) and deep[j][0] == k:  # the prefix grows
             rows, j = rows + deep[j][2] - deep[j][1], j + 1
@@ -175,7 +174,7 @@ def _series(ds: list[int], counts: list[int]) -> list[tuple[float, float]]:
     L(1, chi_d), d = ds[k] fundamental, for each k. The pieces (d, at most
     _BLOCK of its terms) go in runs of at most _BLOCK terms, with one _e1 pass
     over a run's pieces of d > 0; each piece, then each d, is summed alone."""
-    chis, runs, size = _chi_upto(ds, counts), [[]], 0
+    chis, runs, size = {}, [[]], 0  # chis[k]: d's chi table, kept from its first piece to its last
     for k, m_terms in enumerate(counts):
         for start in range(1, m_terms + 1, _BLOCK):
             stop = min(start + _BLOCK, m_terms + 1)
@@ -185,12 +184,14 @@ def _series(ds: list[int], counts: list[int]) -> list[tuple[float, float]]:
             size += stop - start
     parts = [[] for _ in ds]  # per d, (sum, sum of |terms|) per piece
     for run in runs:
+        if fresh := [k for k, start, _ in run if start == 1]:
+            chis.update(zip(fresh, _chi_upto([ds[k] for k in fresh], [counts[k] for k in fresh])))
         ns = [np.arange(start, stop, dtype=np.float64) for _, start, stop in run]
         ys = [n * math.sqrt(math.pi / abs(ds[k])) for (k, _, _), n in zip(run, ns)]
         xs = [y * y for (k, _, _), y in zip(run, ys) if ds[k] > 0]
         edges = list(accumulate(map(len, xs), initial=0))
         e1, at = _e1(np.concatenate(xs), edges) if xs else None, 0
-        for (k, start, _), n, y in zip(run, ns, ys):
+        for (k, start, stop), n, y in zip(run, ns, ys):
             q = abs(ds[k])
             erfc = np.fromiter(map(math.erfc, y.tolist()), np.float64, y.size)
             if ds[k] < 0:
@@ -198,7 +199,7 @@ def _series(ds: list[int], counts: list[int]) -> list[tuple[float, float]]:
             else:
                 terms = erfc / n + e1[at : at + n.size] / math.sqrt(q)
                 at += n.size
-            terms *= chis[k][start : start + n.size]
+            terms *= (chis[k] if stop <= counts[k] else chis.pop(k))[start:stop]
             parts[k].append((math.fsum(terms.tolist()), float(np.abs(terms).sum())))
     return [tuple(map(math.fsum, zip(*piece_sums))) for piece_sums in parts]
 

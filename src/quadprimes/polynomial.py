@@ -278,7 +278,7 @@ def _scalar_primes(f: AdmissiblePolynomial, primes: np.ndarray) -> np.ndarray:
     return np.flatnonzero((head == 2) | (_mod_each(f.a, head) == 0))
 
 
-def _mod_rows(values: list[int], parts: list, order: np.ndarray) -> np.ndarray:
+def _mod_rows(values: list[int], parts: list, order=slice(None)) -> np.ndarray:
     """values[k] mod each prime of parts[k], stacked in turn, taken in order."""
     return np.concatenate([_mod_each(v, part) for v, part in zip(values, parts)])[order]
 
@@ -404,8 +404,7 @@ def _euler_symbols(xs: list[int], parts: list[np.ndarray]) -> np.ndarray:
     p, all in one _pow_mod call, and (x/2) from x mod 8. Any power other than
     0, 1 or p - 1 shows that p is not prime and raises ConsistencyError."""
     p = np.concatenate(parts)
-    residues = np.concatenate([_mod_each(x, part) for x, part in zip(xs, parts)])
-    euler = _pow_mod(residues, (p - 1) >> 1, p)
+    euler = _pow_mod(_mod_rows(xs, parts), (p - 1) >> 1, p)
     ends = list(accumulate(part.size for part in parts))
     bad = np.flatnonzero((euler > 1) & (euler != p - 1))
     if bad.size:

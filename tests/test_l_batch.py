@@ -81,21 +81,31 @@ def test_batches_equal_the_per_delta_series_bit_for_bit(tol):
 @pytest.mark.parametrize("block, top, count", [(7, 2e4, 40), (64, 1e6, 120)])
 def test_pieces_split_inside_and_across_delta(block, top, count, monkeypatch):
     # pieces of d > 0 with every value of E1 at most 1, every value above 1,
-    # and both; with block = 7, one Delta spans many pieces and a run many Delta
-    kinds = set()
-    real = character._e1
+    # and both; with block = 7, one Delta spans many pieces and a run many
+    # Delta. The chi tables are built a run at a time: together at most block
+    # terms, or one Delta's alone, so a batch never holds every table at once.
+    kinds, tables = set(), []
+    real_e1, real_chi = character._e1, character._chi_upto
 
     def recording(x, edges):
         for start, stop in zip(edges, edges[1:]):
             kinds.add((bool((x[start:stop] <= 1).any()), bool((x[start:stop] > 1).any())))
-        return real(x, edges)
+        return real_e1(x, edges)
+
+    def chi_tables(ds, limits):
+        tables.append(limits)
+        return real_chi(ds, limits)
 
     monkeypatch.setattr(character, "_BLOCK", block)
     monkeypatch.setattr(character, "_e1", recording)
+    monkeypatch.setattr(character, "_chi_upto", chi_tables)
     deltas = seeded_deltas(block, count, top)
     for tol in (1e-4, 1e-8):
         assert_batches_match(deltas, tol, seed=block)
     assert kinds == {(True, False), (False, True), (True, True)}
+    assert all(sum(limits) <= block or len(limits) == 1 for limits in tables)
+    assert any(limits[0] > block for limits in tables)
+    assert any(len(limits) > 1 for limits in tables) == (block == 64)  # every M exceeds 7
 
 
 def test_one_e1_pass_equals_e1_of_each_piece_bit_for_bit():
