@@ -20,7 +20,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegenerateMainTerm
+from .errors import DegenerateMainTerm
 from .polynomial import (
     AdmissiblePolynomial,
     PrimeRootTable,
@@ -30,8 +30,6 @@ from .polynomial import (
 from .polynomial import roots_mod_prime  # noqa: F401  (bench/tracer.py wraps this name)
 from .primes import primes_upto
 from .sieve import SieveBudget, SieveResult, s_count, sieve_pi
-
-DEFAULT_PRIME_BUDGET = 10**7
 
 # Relative error bounds, with u = 2^-53: u^2 for one factor num/den taken as
 # the double word fl(num/den) + fl(remainder/den), the remainder exact by
@@ -113,45 +111,32 @@ def _certified_double(hi: float, lo: float, radius: float) -> float | None:
     return None
 
 
-def _check_prime_range(z: float, prime_budget: int) -> None:
-    if z < 2:
-        raise ValueError("z must be >= 2")
-    if z > prime_budget:
-        raise BudgetExceeded(f"prime enumeration to {z} exceeds budget {prime_budget}")
-    check_table_limit(math.ceil(z) - 1)
-
-
-def v_product(
-    f: AdmissiblePolynomial,
-    z: float,
-    *,
-    prime_budget: int = DEFAULT_PRIME_BUDGET,
-    table: PrimeRootTable | None = None,
-) -> float:
+def v_product(f: AdmissiblePolynomial, z: float, *, table: PrimeRootTable | None = None) -> float:
     """V(z) = prod_{p < z} (1 - rho(p)/p), rounded to the nearest double.
     Equals 1 for z = 2 (empty product). rho(p) is read from table where it
     is f's, and above its limit is 1 + (delta/p) from the table's chi period
     or by Euler's criterion (p = 2 and p | a solved directly); no roots are
-    solved."""
-    return v_products([f], [z], [table], prime_budget=prime_budget)[0]
+    solved. Raises BudgetExceeded, before allocating, when the primes below
+    z exceed MAX_TABLE_PRIME."""
+    return v_products([f], [z], [table])[0]
 
 
-def v_products(
-    fs: list, zs: list, tables: list, *, prime_budget: int = DEFAULT_PRIME_BUDGET
-) -> list[float]:
-    """v_product(f, z, prime_budget=prime_budget, table=table) for each f, z
-    and table, each from one product tree: V(z)'s factors num/den (integers
-    below 2^53) are a column of a 2-D array padded with 1/1, whose double
-    word (1.0, 0.0) multiplies exactly. With n factors and m multiplies, the
-    product is within the relative bound S = n QUOTIENT_ERROR + m
-    PRODUCT_ERROR of the exact value, which lies within 2 S (hi + lo) of it
-    while S <= 1/4 (S is below 1e-20 for any array that fits in memory); the
-    radius 8 S |hi| also covers the rounding of S. When that interval
-    reaches a rounding boundary, the exact big-integer ratio decides."""
+def v_products(fs: list, zs: list, tables: list) -> list[float]:
+    """v_product(f, z, table=table) for each f, z and table, each from one
+    product tree: V(z)'s factors num/den (integers below 2^53) are a column
+    of a 2-D array padded with 1/1, whose double word (1.0, 0.0) multiplies
+    exactly. With n factors and m multiplies, the product is within the
+    relative bound S = n QUOTIENT_ERROR + m PRODUCT_ERROR of the exact value,
+    which lies within 2 S (hi + lo) of it while S <= 1/4 (S is below 1e-20
+    for any array that fits in memory); the radius 8 S |hi| also covers the
+    rounding of S. When that interval reaches a rounding boundary, the exact
+    big-integer ratio decides."""
     factors = []  # (p - rho(p), p) over the p < z with rho(p) > 0; None where V(z) = 0
     for f, z, table in zip(fs, zs, tables):
-        _check_prime_range(z, prime_budget)
+        if z < 2:
+            raise ValueError("z must be >= 2")
         limit = math.ceil(z) - 1  # the largest integer below z
+        check_table_limit(limit)
         primes = rho = np.empty(0, dtype=np.int64)
         own = table is not None and table.f == f
         if own:
@@ -264,17 +249,6 @@ def buchstab(
     )
 
 
-def main_term_needs_v(a_count: int, prime_budget: int) -> bool:
-    """Whether the main term A * V(A) needs V(A), a product over the primes
-    below A: not for A < 2, where it is the empty product 1. Raises
-    BudgetExceeded when those primes exceed prime_budget, so a caller that
-    knows A can fail before it sieves."""
-    if a_count < 2:
-        return False
-    _check_prime_range(a_count, prime_budget)
-    return True
-
-
 @dataclass(frozen=True)
 class MainTermReport:
     """pi_f(N) against the predicted main term A * V(A).
@@ -300,7 +274,6 @@ def main_term_report(
     beta: float | None = None,
     *,
     budget: SieveBudget | None = None,
-    prime_budget: int = DEFAULT_PRIME_BUDGET,
     v_of_a: float | None = None,
 ) -> MainTermReport:
     """Compare the exact prime count against A * V(A). Raises
@@ -310,10 +283,9 @@ def main_term_report(
     a_count = res.cardinality_a
     if a_count == 0:
         return MainTermReport(res.pi_f, 0, 1.0, 0.0, None, None, True)
-    v = 1.0
-    if main_term_needs_v(a_count, prime_budget):
-        v = v_of_a if v_of_a is not None else v_product(
-            f, a_count, prime_budget=prime_budget, table=res.root_table)
+    v = 1.0  # the empty product for |A| = 1
+    if a_count >= 2:
+        v = v_of_a if v_of_a is not None else v_product(f, a_count, table=res.root_table)
     main = a_count * v
     if main == 0.0:
         raise DegenerateMainTerm(

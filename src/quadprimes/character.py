@@ -207,7 +207,7 @@ def _series(ds: list[int], counts: list[int]) -> list[tuple[float, float]]:
 def l_batch(deltas, tolerance: float, *, cutoff_cap: int = DEFAULT_CUTOFF_CAP) -> dict:
     """{Delta: what l_one(Delta, tolerance, cutoff_cap=cutoff_cap) returns or
     raises} for each Delta of deltas, each checked alone and all summed in one
-    _series pass; if that raises, each Delta alone, so an error stays its own."""
+    _series pass. An error of that shared pass raises."""
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     out, jobs = {}, []  # jobs: (Delta, D, primes dividing m, Euler factor, series length)
@@ -223,13 +223,7 @@ def l_batch(deltas, tolerance: float, *, cutoff_cap: int = DEFAULT_CUTOFF_CAP) -
             jobs.append((delta, d, m_primes, factor, m_terms))
         except QuadprimesError as exc:
             out[delta] = exc
-    try:
-        series = _series([job[1] for job in jobs], [job[4] for job in jobs]) if jobs else []
-    except QuadprimesError as exc:
-        if len(jobs) == 1:
-            return out | {jobs[0][0]: exc}
-        return out | {job[0]: l_batch([job[0]], tolerance, cutoff_cap=cutoff_cap)[job[0]]
-                      for job in jobs}
+    series = _series([job[1] for job in jobs], [job[4] for job in jobs]) if jobs else []
     for (delta, d, m_primes, factor, m_terms), (total, size) in zip(jobs, series):
         rounding = (TERM_ULPS + 4.0 * math.pi * m_terms**2 / abs(d)) * _EPS * size  # Y^2 = pi*M^2/q
         value = total * factor

@@ -18,13 +18,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import __version__, character, sieve
-from .analytic import (
-    DEFAULT_PRIME_BUDGET,
-    buchstab,
-    main_term_needs_v,
-    main_term_report,
-    v_products,
-)
+from .analytic import buchstab, main_term_report, v_products
 from .character import (
     is_fundamental_discriminant,
     l_one,
@@ -249,20 +243,18 @@ def _analyze(triples, n_value: int, settings: Settings):
     rows) or the QuadprimesError its analysis raised. Each f is validated
     and its budgets checked alone; a chunk shares one root-table solve, one V
     product tree and one l_batch for its new Delta; then each is reported alone."""
-    budget, prime_budget = settings.budget(), DEFAULT_PRIME_BUDGET
+    budget = settings.budget()
     l_values: dict[int, tuple[float, float]] = {}  # by Delta: one L(1, chi) per call
 
     def finish(chunk):
         work = [item for *_, item in chunk if isinstance(item, tuple)]
-        ready = (_prepared(work, n_value, budget, prime_budget) if work else [])[::-1]
-        new = [r[0].delta for r in ready if isinstance(r, tuple) and r[0].delta not in l_values]
-        batch = character.l_batch(new, settings.tol, cutoff_cap=settings.l_cutoff) if work else {}
+        ready = (_prepared(work, n_value, settings, l_values) if work else [])[::-1]
         for triple, f, item in chunk:
             if isinstance(item, tuple):
                 item = ready.pop()  # reversed above, so in chunk order
             if isinstance(item, tuple):
                 try:
-                    item = _report(*item, n_value, settings, prime_budget, l_values, batch)
+                    item = _report(*item, n_value, settings, l_values)
                 except QuadprimesError as exc:
                     item = exc
             yield triple, f, item
@@ -273,7 +265,7 @@ def _analyze(triples, n_value: int, settings: Settings):
         try:
             f = validate(*triple)
             domain = sieve.checked_domain(f, n_value, budget)
-            item = (f, domain, main_term_needs_v(domain.cardinality_a, prime_budget))
+            item = (f, domain)
             x = max(sieve.strike_limit(f, domain), domain.cardinality_a - 1, 2)
             rows = int(1.25506 * x / math.log(x))  # > pi(x) (Rosser-Schoenfeld), sieving none
         except QuadprimesError as exc:
@@ -286,31 +278,32 @@ def _analyze(triples, n_value: int, settings: Settings):
     yield from finish(chunk)
 
 
-def _prepared(work: list, n_value: int, budget: SieveBudget, prime_budget: int) -> list:
-    """(f, sieve result, V(|A|) or None where none is needed) for each
-    checked (f, domain, needs_v): the root tables solved in one pass, each f
-    sieved, then V from one product tree (after the sieves, whose arrays
-    then reuse fewer fresh pages); where that raises, each f alone, so that
-    an error takes the place of its own polynomial."""
+def _prepared(work: list, n_value: int, settings: Settings, l_values: dict) -> list:
+    """(f, sieve result, V(|A|) or None where |A| < 2, l_batch) for each
+    checked (f, domain): the root tables solved in one pass, each f sieved,
+    then V from one product tree (after the sieves, whose arrays then reuse
+    fewer fresh pages) and one l_batch for the Delta not in l_values; where
+    that raises, each f alone, so that an error takes the place of its own
+    polynomial."""
     try:
-        fs = [f for f, *_ in work]
-        tables = prime_root_tables(fs, [sieve.strike_limit(f, d) for f, d, _ in work])
-        results = [sieve_pi(f, n_value, budget=budget, domain=d, table=t)
-                   for (f, d, _), t in zip(work, tables)]
-        needs = [i for i, (*_, needs_v) in enumerate(work) if needs_v]
+        fs = [f for f, _ in work]
+        tables = prime_root_tables(fs, [sieve.strike_limit(f, d) for f, d in work])
+        results = [sieve_pi(f, n_value, domain=d, table=t) for (f, d), t in zip(work, tables)]
+        needs = [i for i, result in enumerate(results) if result.cardinality_a >= 2]
         v_of = dict(zip(needs, v_products(
             [fs[i] for i in needs], [results[i].cardinality_a for i in needs],
-            [tables[i] for i in needs], prime_budget=prime_budget,
-        )))
+            [tables[i] for i in needs])))
+        new = [f.delta for f in fs if f.delta not in l_values]
+        batch = character.l_batch(new, settings.tol, cutoff_cap=settings.l_cutoff)
     except QuadprimesError as exc:
         if len(work) == 1:
             return [exc]
-        return [e for item in work for e in _prepared([item], n_value, budget, prime_budget)]
-    return [(fs[i], result, v_of.get(i)) for i, result in enumerate(results)]
+        return [e for item in work for e in _prepared([item], n_value, settings, l_values)]
+    return [(fs[i], result, v_of.get(i), batch) for i, result in enumerate(results)]
 
 
 def _report(
-    f, result, v_of_a, n_value: int, settings: Settings, prime_budget: int, l_values, batch
+    f, result, v_of_a, batch, n_value: int, settings: Settings, l_values
 ) -> tuple[RunRecord, list[Row]]:
     if f.delta not in l_values:
         l_values[f.delta] = l_one(f.delta, settings.tol, cutoff_cap=settings.l_cutoff, batch=batch)
@@ -319,10 +312,7 @@ def _report(
         met = metrics(f, n_value, result.cardinality_a, l_value, l_bound)
     except DegenerateA:
         met = None
-    # V takes the budget checked above; main_term_report's default is bound at import
-    report = main_term_report(
-        f, n_value, result, met.beta if met else None, prime_budget=prime_budget, v_of_a=v_of_a
-    )
+    report = main_term_report(f, n_value, result, met.beta if met else None, v_of_a=v_of_a)
     domain_text = " union ".join(f"[{lo}, {hi}]" for lo, hi in result.domain.intervals)
     # in RunRecord's field order; |A|, V, the main term and the relative error
     # stand where the table puts them and again where the record does

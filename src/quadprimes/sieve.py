@@ -56,7 +56,9 @@ ABOVE_KEYS = np.iinfo(np.int64).max
 @dataclass(frozen=True)
 class SieveBudget:
     """Resource caps for a sieve run. Exceeding one raises BudgetExceeded
-    before any heavy allocation happens."""
+    before any heavy allocation happens. max_sieve_prime caps every prime a
+    run lists: the root table's are at most it, and V(|A|)'s at most
+    2 max_sieve_prime + 1 (checked_domain)."""
 
     max_n: int = DEFAULT_MAX_N
     max_sieve_prime: int = DEFAULT_MAX_SIEVE_PRIME
@@ -214,7 +216,17 @@ def checked_domain(
     f: AdmissiblePolynomial, n_value: int, budget: SieveBudget
 ) -> EnumerationDomain:
     """The enumeration domain, once every check sieve_pi makes before it
-    allocates has passed; raises what sieve_pi would raise."""
+    allocates has passed; raises what sieve_pi would raise.
+
+    These checks also bound V(|A|), whose primes are below |A|. Let M be the
+    max of f on the domain and s = sqrt(M / |a|). Each n of the domain lies
+    within s of the vertex v = -b/2a when Delta < 0 (f >= |a| (n - v)^2), or
+    within s of its nearer real root r, on the one side of r where f >= 0
+    (f = |a| |n - r| |n - r'| >= |a| (n - r)^2). Either way the domain lies
+    in two real segments of length s, or one of length 2 s, so |A| <=
+    2 isqrt(M) + 2: V's primes are at most 2 strike_limit + 1 <=
+    2 max_sieve_prime + 1. As M <= N <= MAX_SAFE_N, that is also at most
+    2 10^9 + 1 < MAX_TABLE_PRIME."""
     if n_value < 1:
         raise ValueError("n_value must be >= 1")
     if n_value > budget.max_n:

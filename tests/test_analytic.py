@@ -13,7 +13,7 @@ from quadprimes.analytic import (
     v_product,
 )
 from quadprimes.errors import BudgetExceeded, ConsistencyError
-from quadprimes.polynomial import prime_root_table, roots_mod_prime, validate
+from quadprimes.polynomial import MAX_TABLE_PRIME, prime_root_table, roots_mod_prime, validate
 from quadprimes.primes import primes_upto
 from quadprimes.sieve import sieve_pi
 
@@ -46,10 +46,16 @@ def test_v_product_matches_fraction_reference():
         assert v_product(f, z) == float(want), (f, z)
 
 
-def test_v_product_budget():
+def test_v_product_budget(monkeypatch):
+    # the int64 guard of the root table is V's only cap: primes below
+    # MAX_TABLE_PRIME + 2 reach past it, refused before any prime is listed
+    def no_work(*args):
+        raise AssertionError("primes were listed")
+
+    monkeypatch.setattr(analytic, "primes_upto", no_work)
     f = validate(1, 0, 1)
-    with pytest.raises(BudgetExceeded):
-        v_product(f, 10**8, prime_budget=10**6)
+    with pytest.raises(BudgetExceeded, match=f"exceeds the int64-safe bound {MAX_TABLE_PRIME}"):
+        v_product(f, MAX_TABLE_PRIME + 2)
     with pytest.raises(ValueError):
         v_product(f, 1.5)
 

@@ -110,51 +110,29 @@ def test_l_cutoff_is_checked_before_the_series(capsys, monkeypatch):
 
 
 def test_main_term_budget_fails_before_the_sieve(capsys, monkeypatch):
-    from quadprimes import cli
+    # the sieve's budget is the only cap on V's primes: at 1e14 it refuses the
+    # run before any table, kernel or V work, and raised it lets V run in full
+    from quadprimes import analytic, cli
+
+    argv = ("analyze", "-a", "1", "-b", "1", "-c", "41", "-N", "1e14",
+            "--budget-max-n", "1e14", "--no-record")
 
     def no_work(*args):
         raise AssertionError("the sieve ran")
 
-    monkeypatch.setattr(cli, "prime_root_tables", no_work)
-    monkeypatch.setattr(sieve, "_segment_counts", no_work)
-    code, _, err = run(capsys, "analyze", "-a", "1", "-b", "1", "-c", "41", "-N", "1e14",
-                       "--budget-max-n", "1e14", "--budget-max-sieve-prime", "1e7",
-                       "--no-record")
-    assert code == 3
-    assert err == ("error: BudgetExceeded: prime enumeration to 20000000 "
-                   "exceeds budget 10000000\n")
-
-
-def test_analyze_gives_v_the_prime_budget_it_checks_before_the_sieve(capsys, monkeypatch):
-    # DEFAULT_PRIME_BUDGET read at call time: one below |A| exits 3 before the
-    # sieve, and at |A| V runs under that budget, not the one bound at import
-    from quadprimes import cli
-
-    a_count = sieve.enumeration_domain(validate(1, 1, 41), 10**4).cardinality_a
-    argv = ("analyze", "-a", "1", "-b", "1", "-c", "41", "-N", "10000", "--no-record")
-
-    def no_sieve(*args, **kwargs):
-        raise AssertionError("the sieve ran")
-
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "DEFAULT_PRIME_BUDGET", a_count - 1)
-        patch.setattr(cli, "sieve_pi", no_sieve)
+        for module, name in ((cli, "prime_root_tables"), (sieve, "_segment_counts"),
+                             (cli, "v_products")):
+            patch.setattr(module, name, no_work)
         code, _, err = run(capsys, *argv)
     assert code == 3
-    assert err == (f"error: BudgetExceeded: prime enumeration to {a_count} "
-                   f"exceeds budget {a_count - 1}\n")
+    assert err == ("error: BudgetExceeded: sieve needs primes to 9999999, "
+                   "budget max_sieve_prime = 2000000\n")
 
-    budgets = []
-    v_products = cli.v_products
-
-    def recording(*args, prime_budget, **kwargs):
-        budgets.append(prime_budget)
-        return v_products(*args, prime_budget=prime_budget, **kwargs)
-
-    monkeypatch.setattr(cli, "DEFAULT_PRIME_BUDGET", a_count)
-    monkeypatch.setattr(cli, "v_products", recording)
-    code, _, _ = run(capsys, *argv)
-    assert code == 0 and budgets == [a_count]
+    code, out, err = run(capsys, *argv, "--budget-max-sieve-prime", "1e7", "--format", "records")
+    rec = from_json_line(out.strip())
+    assert code == 0 and err == "" and rec.cardinality_a == 2 * 10**7
+    assert rec.v_of_a == analytic.v_product(validate(1, 1, 41), rec.cardinality_a)
 
 
 def test_scan_table_skips_inadmissible(capsys, tmp_path):
@@ -256,6 +234,26 @@ def test_bench_hooks_resolve_and_reach_every_scan_row(capsys, tmp_path, monkeypa
     polys = [validate(*map(int, row[:3])) for row in ok]
     assert calls["sieve_pi"] == calls["main_term_report"] == polys
     assert sorted(calls["l_one"]) == sorted({f.delta for f in polys})
+
+
+def test_every_import_is_read_but_the_bench_hooks():
+    # no linter ships with the package: an imported name no module code reads
+    # is dead, unless the bench replaces it there
+    hooks = set(_bench_hooks())
+    unread = []
+    for path in sorted(Path(quadprimes.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                names = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+                unread += [(f"quadprimes.{path.stem}", name) for name in sorted(names - read)]
+    assert [pair for pair in unread if pair not in hooks] == []
+    assert unread  # the tracer's hook names, imported unread by sieve and analytic
 
 
 def test_scan_range_parse_error_exits_2(capsys):
